@@ -1,13 +1,12 @@
 // A small fixed-size worker pool with a blocking parallel-for.
 //
-// Built for the verification workloads in this repo (parallel exhaustive
-// frontier expansion, Φ-pair checking, sepcheck --jobs): the unit of work is
-// a pure function of index `i` writing only to its own output slot, and the
-// caller needs a barrier at the end. Determinism is the callers'
-// responsibility and their design: workers compute results into per-index
-// slots, and the caller merges them in canonical index order, so the report
-// produced is independent of scheduling (see src/core/exhaustive.cpp and
-// docs/PERFORMANCE.md).
+// Built for the exhaustive checker (src/core/exhaustive.cpp), which expands
+// BFS slices and checks Φ-pair waves on it: the unit of work is a pure
+// function of index `i` writing only to its own output slot, and the caller
+// needs a barrier at the end. Determinism is the caller's design: workers
+// compute results into per-index slots, and the caller merges them in
+// canonical index order, so the report produced is independent of
+// scheduling (see docs/PERFORMANCE.md §6).
 //
 // A pool of size 1 spawns no threads and runs bodies inline, so serial
 // configurations stay genuinely single-threaded.
@@ -60,47 +59,6 @@ class ThreadPool {
     }
     const std::function<void(std::size_t)> fn = std::ref(body);
     ParallelForPooled(n, fn);
-  }
-
-  // Grained variant: workers claim [i, i+grain) index blocks per atomic
-  // fetch instead of one index at a time, cutting contention on the shared
-  // cursor when bodies are cheap. Iteration order within a block is
-  // ascending; block assignment is unspecified. grain == 1 is exactly the
-  // plain overload.
-  template <typename Body>
-  void ParallelFor(std::size_t n, std::size_t grain, Body&& body) {
-    if (grain <= 1 || workers_.empty() || n <= grain) {
-      ParallelFor(n, body);
-      return;
-    }
-    const std::size_t blocks = (n + grain - 1) / grain;
-    ParallelFor(blocks, [&](std::size_t block) {
-      const std::size_t begin = block * grain;
-      const std::size_t end = begin + grain < n ? begin + grain : n;
-      for (std::size_t i = begin; i < end; ++i) {
-        body(i);
-      }
-    });
-  }
-
-  // Batch size that adapts to both pool width and problem width: small
-  // enough that every thread gets several blocks (load balance against
-  // uneven bodies), large enough to amortize the shared cursor. The old
-  // checker used a fixed 64-state dispatch batch, which starved wide pools
-  // on narrow BFS levels.
-  static std::size_t AdaptiveGrain(std::size_t n, int threads) {
-    if (threads <= 1 || n == 0) {
-      return n == 0 ? 1 : n;
-    }
-    // Aim for ~4 blocks per thread, clamped to [1, 1024].
-    std::size_t grain = n / (static_cast<std::size_t>(threads) * 4);
-    if (grain < 1) {
-      grain = 1;
-    }
-    if (grain > 1024) {
-      grain = 1024;
-    }
-    return grain;
   }
 
   // Index of the calling thread within this pool's parallelism: 0 for the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -15,7 +14,6 @@
 #include "src/base/logging.h"
 #include "src/base/strings.h"
 #include "src/base/thread_pool.h"
-#include "src/base/work_steal.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -23,56 +21,37 @@ namespace sep {
 
 namespace {
 
-// The checker is parallel but its report is deterministic BY CONSTRUCTION,
-// in two layers:
+// The checker is parallel and its report is deterministic by construction.
 //
-//   1. Work-stealing exploration (schedule-dependent, result-pure). Workers
-//      pull states from per-worker Chase–Lev deques (src/base/work_steal.h),
-//      expand them, and intern every successor into a sharded
-//      content-addressed store (ShardedStateStore below). A state's packed
-//      id and shard are pure functions of its serialized content, never of
-//      the interning thread. Each fresh state is expanded exactly once (the
-//      thread whose intern was fresh re-enqueues it). Workers record, per
-//      expanded state, the packed ids of its successors plus any FAILED
-//      per-transition checks; passing checks are never materialized — the
-//      check sequence of a successor is synthesizable from its ordinal.
+// Exploration is a level-synchronous BFS. Each level is cut into slices of
+// kSliceStates states. The pool expands one slice at a time: a worker
+// restores the state, applies every successor, records the FAILED checks
+// and interns each successor into a sharded content-addressed store
+// (ShardedStateStore below). After the slice barrier one merge thread walks
+// the slice in canonical order. It numbers new states first-come, counts
+// transitions, checks and violations, and applies the two cut rules:
+// max_violations is tested between states, and the state budget is tested
+// before a state is admitted. Pair checking works the same way, in waves of
+// kPairWave tasks.
 //
-//   2. Canonical replay (schedule-independent). After the stealing pool
-//      drains, a single merge thread replays the exact level-synchronous
-//      serial algorithm over the recorded successor lists: same FIFO id
-//      assignment, same kLevelChunk dispatch granularity, same
-//      overflow-before-intern and max_violations early-stop semantics, same
-//      per-level heartbeat trace events. The replay therefore produces the
-//      report — ids, violation order, truncation points, transition counts —
-//      that a 1-thread run of the pre-stealing checker produced, regardless
-//      of thread count or steal schedule. If the replay needs a state the
-//      stealing phase never expanded (early stop drained it), it expands it
-//      on demand on the merge thread. If the stealing phase overshot a
-//      truncated run (discovered more states than the canonical set), the
-//      store is rebuilt with only canonical states in canonical order so
-//      peak_state_bytes stays schedule-independent too.
-//
-// Pair checking reuses the same stealing pool: the replay drives dispatch
-// in waves and consumes outcomes with the serial kPairChunk stop semantics.
-//
-// restore_count reports the SERIAL-EQUIVALENT schedule cost (the number of
-// RestoreFullState calls the canonical serial schedule performs), which is
-// what makes it comparable across thread counts; the actual per-worker
-// restore counts — which include stealing overshoot — are exported as
-// per-worker gauges instead.
+// Slice and wave sizes are constants, so which states get expanded and
+// which pair tasks get computed depends on the system and options alone,
+// never on the thread count. Every report field follows from that with no
+// replay: ids, violation order, truncation points and transition counts,
+// but also restore_count (the RestoreFullState calls actually made) and
+// peak_state_bytes (the store actually built).
 //
 // No live SharedSystem is retained per explored state. Each state exists
 // only as its serialized FullState() words; workers reconstruct live
 // machines on demand (RestoreFullState) into per-worker scratch instances.
 
 constexpr std::size_t kChunkWords = 64;
-// States merged per canonical-replay batch. This is the granularity at
-// which the serial checker dispatched expansion work, and the goldens pin
-// its stop semantics (restore counts, truncation points), so the replay
-// keeps it even though the stealing pool no longer batches.
-constexpr std::size_t kLevelChunk = 64;
-// Φ-equal pairs merged per canonical-replay batch (same role).
-constexpr std::size_t kPairChunk = 512;
+// States expanded per parallel slice. Exploration stops at a cut rule only
+// between slices, so this bounds the work done past the cut.
+constexpr std::size_t kSliceStates = 64;
+// Φ-equal pair tasks checked per parallel wave. Pair tasks are cheap, so
+// waves are wide: each one costs a pool barrier.
+constexpr std::size_t kPairWave = 8192;
 
 // Trace payload words are 16-bit; saturate rather than wrap so a reader can
 // tell "at least 65535" from a small value.
@@ -85,7 +64,7 @@ Word SaturateWord(std::size_t value) {
 // offsets; each distinct chunk is stored once. Chunks and states live in
 // separate shard spaces, each routed by the top bits of the content hash
 // (ShardForHash), so the layout of a finished store is a pure function of
-// the state SET — identical for every steal schedule.
+// the state SET — identical for every thread count.
 //
 // A state record is its packed chunk-ref list plus exact word count. Because
 // chunk ids are content-addressed within a run, two equal serializations
@@ -110,67 +89,62 @@ class ShardedStateStore {
     }
   }
 
-  std::size_t states() const { return state_count_.load(std::memory_order_relaxed); }
-
   // Any thread. Returns the packed id of the chunk with this content,
   // interning it if new.
   std::uint32_t InternChunk(std::uint64_t hash, const Word* words, std::size_t count) {
     const std::size_t s = ShardForHash(hash);
     ChunkShardData& d = chunk_data_[s];
-    const auto [packed, fresh] = chunk_index_.FindOrInsert(
-        hash,
-        [&](std::int32_t local) {
-          const std::size_t i = static_cast<std::size_t>(local);
-          return d.hashes[i] == hash && d.offsets[i + 1] - d.offsets[i] == count &&
-                 std::memcmp(d.words.data() + d.offsets[i], words, count * sizeof(Word)) == 0;
-        },
-        [&]() {
-          const std::size_t local = d.hashes.size();
-          SEP_CHECK(local <= kShardLocalMax);
-          d.words.insert(d.words.end(), words, words + count);
-          d.offsets.push_back(static_cast<std::uint32_t>(d.words.size()));
-          d.hashes.push_back(hash);
-          return local;
-        },
-        [&](std::int32_t existing) { return d.hashes[static_cast<std::size_t>(existing)]; });
-    (void)fresh;
+    const std::int32_t packed =
+        chunk_index_
+            .FindOrInsert(
+                hash,
+                [&](std::int32_t local) {
+                  const std::size_t i = static_cast<std::size_t>(local);
+                  return d.hashes[i] == hash && d.offsets[i + 1] - d.offsets[i] == count &&
+                         std::memcmp(d.words.data() + d.offsets[i], words,
+                                     count * sizeof(Word)) == 0;
+                },
+                [&]() {
+                  const std::size_t local = d.hashes.size();
+                  SEP_CHECK(local <= kShardLocalMax);
+                  d.words.insert(d.words.end(), words, words + count);
+                  d.offsets.push_back(static_cast<std::uint32_t>(d.words.size()));
+                  d.hashes.push_back(hash);
+                  return local;
+                },
+                [&](std::int32_t existing) { return d.hashes[static_cast<std::size_t>(existing)]; })
+            .first;
     return static_cast<std::uint32_t>(packed);
   }
 
-  struct InternedState {
-    std::int32_t id;
-    bool fresh;
-  };
-
   // Any thread. `refs` is the state's packed chunk-ref list; `len` its exact
-  // word count; `hash` the hash of the full serialization.
-  InternedState InternState(std::uint64_t hash, const std::uint32_t* refs, std::size_t nrefs,
-                            std::size_t len) {
+  // word count; `hash` the hash of the full serialization. Returns the
+  // state's packed id, interning it if new.
+  std::int32_t InternState(std::uint64_t hash, const std::uint32_t* refs, std::size_t nrefs,
+                           std::size_t len) {
     const std::size_t s = ShardForHash(hash);
     StateShardData& d = state_data_[s];
-    const auto [packed, fresh] = state_index_.FindOrInsert(
-        hash,
-        [&](std::int32_t local) {
-          const std::size_t i = static_cast<std::size_t>(local);
-          return d.hashes[i] == hash && d.lens[i] == len &&
-                 d.ref_offsets[i + 1] - d.ref_offsets[i] == nrefs &&
-                 std::memcmp(d.chunk_refs.data() + d.ref_offsets[i], refs,
-                             nrefs * sizeof(std::uint32_t)) == 0;
-        },
-        [&]() {
-          const std::size_t local = d.hashes.size();
-          SEP_CHECK(local <= kShardLocalMax);
-          d.chunk_refs.insert(d.chunk_refs.end(), refs, refs + nrefs);
-          d.ref_offsets.push_back(static_cast<std::uint32_t>(d.chunk_refs.size()));
-          d.lens.push_back(static_cast<std::uint32_t>(len));
-          d.hashes.push_back(hash);
-          return local;
-        },
-        [&](std::int32_t existing) { return d.hashes[static_cast<std::size_t>(existing)]; });
-    if (fresh) {
-      state_count_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return {packed, fresh};
+    return state_index_
+        .FindOrInsert(
+            hash,
+            [&](std::int32_t local) {
+              const std::size_t i = static_cast<std::size_t>(local);
+              return d.hashes[i] == hash && d.lens[i] == len &&
+                     d.ref_offsets[i + 1] - d.ref_offsets[i] == nrefs &&
+                     std::memcmp(d.chunk_refs.data() + d.ref_offsets[i], refs,
+                                 nrefs * sizeof(std::uint32_t)) == 0;
+            },
+            [&]() {
+              const std::size_t local = d.hashes.size();
+              SEP_CHECK(local <= kShardLocalMax);
+              d.chunk_refs.insert(d.chunk_refs.end(), refs, refs + nrefs);
+              d.ref_offsets.push_back(static_cast<std::uint32_t>(d.chunk_refs.size()));
+              d.lens.push_back(static_cast<std::uint32_t>(len));
+              d.hashes.push_back(hash);
+              return local;
+            },
+            [&](std::int32_t existing) { return d.hashes[static_cast<std::size_t>(existing)]; })
+        .first;
   }
 
   // After the last intern, lock-free reads: the phase barrier between
@@ -207,10 +181,6 @@ class ShardedStateStore {
       out.insert(out.end(), cd.words.begin() + cd.offsets[cl], cd.words.begin() + cd.offsets[cl + 1]);
     }
     SEP_CHECK(out.size() == len);
-  }
-
-  std::uint64_t StateHash(std::int32_t packed) const {
-    return state_data_[ShardOfId(packed)].hashes[LocalOfId(packed)];
   }
 
   std::size_t shard_max_load() const { return state_index_.max_load(); }
@@ -252,7 +222,6 @@ class ShardedStateStore {
   ShardedIndex chunk_index_;
   std::array<StateShardData, kShardCount> state_data_;
   std::array<ChunkShardData, kShardCount> chunk_data_;
-  std::atomic<std::size_t> state_count_{0};
   bool frozen_ = false;
 };
 
@@ -291,33 +260,23 @@ std::uint32_t InternChunkCached(ShardedStateStore& store, ChunkCache& cache, con
   return ref;
 }
 
-// One FAILED check, recorded by a worker. Passing checks are never stored:
-// the canonical replay synthesizes the full check sequence (it is a pure
-// function of the successor ordinal / pair-task structure) and splices the
-// recorded failures in at their ordinal positions.
-struct FailRec {
-  std::uint32_t ordinal = 0;  // check position within the expansion / task
-  std::int16_t condition = 0;
-  std::int16_t colour = kColourNone;
-  std::string description;
+// What a worker records for one expanded state, in canonical successor
+// order: the operation, then each input value into each unit, then each
+// unit's activity. Passing checks are only counted.
+struct Expansion {
+  std::vector<std::int32_t> succs;   // packed successor ids
+  std::vector<std::uint8_t> checks;  // checks evaluated per successor
+  struct Fail {
+    std::uint32_t ordinal;  // index into succs
+    Violation violation;
+  };
+  std::vector<Fail> fails;  // in check order
 };
 
-// One expanded state: a slice of the owning worker's flat succs/fails logs.
-struct ExpandRec {
-  std::int32_t from = -1;  // packed state id
-  std::uint32_t succ_begin = 0;
-  std::uint32_t succ_end = 0;
-  std::uint32_t fail_begin = 0;
-  std::uint32_t fail_end = 0;
-};
-
-// Append-only per-worker recording; owned by exactly one pool thread during
-// exploration, read by the merge thread after the pool barrier.
-struct WorkerLog {
-  std::vector<ExpandRec> recs;
-  std::vector<std::int32_t> succs;        // packed successor ids
-  std::vector<std::uint8_t> succ_checks;  // checks evaluated per successor
-  std::vector<FailRec> fails;             // ordinal = successor ordinal
+// What a worker records for one Φ-equal pair task.
+struct PairOutcome {
+  std::array<std::uint32_t, 7> checks{};  // per condition
+  std::vector<Violation> fails;           // in check order
 };
 
 class ExhaustiveRun {
@@ -328,15 +287,8 @@ class ExhaustiveRun {
         store_(std::make_unique<ShardedStateStore>()),
         pool_(options.threads) {
     scratch_.resize(static_cast<std::size_t>(pool_.size()));
-    logs_.resize(static_cast<std::size_t>(pool_.size()));
     colours_ = initial_->ColourCount();
     units_ = initial_->UnitCount();
-    // Successors per expansion: the operation, each input value into each
-    // unit, each unit's activity. Constant per system/options, which is what
-    // lets the replay reconstruct the serial restore schedule exactly.
-    fanout_ = 1 + static_cast<std::size_t>(units_) *
-                      static_cast<std::size_t>(options_.inputs_per_unit) +
-              static_cast<std::size_t>(units_);
   }
 
   ExhaustiveReport Run() {
@@ -355,17 +307,7 @@ class ExhaustiveRun {
       return std::move(report_);
     }
 
-    const std::int32_t initial_id = InternKey(*init_key);
-    Explore(initial_id);
-    BuildLocator();
-    ReplayExplore(initial_id);
-    if (canon_to_packed_.size() != store_->states()) {
-      // Truncated run overshoot: the stealing pool discovered states the
-      // canonical schedule never admits. Rebuild the store with only
-      // canonical states, in canonical order, so peak_state_bytes is a
-      // function of the canonical set alone.
-      RebuildStore();
-    }
+    Explore(Intern(ScratchHere(), *init_key));
     store_->Freeze();
     if (report_.complete || canon_to_packed_.size() <= options_.max_states) {
       CheckPairs();
@@ -373,11 +315,11 @@ class ExhaustiveRun {
 
     report_.states_explored = canon_to_packed_.size();
     report_.peak_state_bytes = store_->bytes();
-    report_.restore_count = sim_restores_;
     report_.shard_max_load = store_->shard_max_load();
     report_.worker_expanded.resize(scratch_.size());
     for (std::size_t w = 0; w < scratch_.size(); ++w) {
-      report_.worker_expanded[w] = logs_[w].recs.size();
+      report_.restore_count += scratch_[w].restores;
+      report_.worker_expanded[w] = scratch_[w].expanded;
     }
     // Gauges are always on (like every other module's counters); only the
     // trace recorder is gated by obs::Enabled().
@@ -386,11 +328,9 @@ class ExhaustiveRun {
     obs::Metrics().GetGauge("exhaustive.pairs_checked").Set(report_.pairs_checked);
     obs::Metrics().GetGauge("exhaustive.restore_count").Set(report_.restore_count);
     obs::Metrics().GetGauge("exhaustive.peak_state_bytes").Set(report_.peak_state_bytes);
-    obs::Metrics().GetGauge("exhaustive.steal_count").Set(report_.steal_count);
     obs::Metrics().GetGauge("exhaustive.shard_max_load").Set(report_.shard_max_load);
-    // Per-worker counters expose exploration balance across the pool:
-    // `expanded` is stealing-phase work done, `restores` the actual (not
-    // serial-equivalent) reconstruction count including overshoot.
+    // Per-worker counters expose load balance across the pool; they are
+    // the only schedule-dependent numbers the checker exports.
     for (std::size_t w = 0; w < scratch_.size(); ++w) {
       obs::Metrics()
           .GetGauge(Format("exhaustive.worker%zu.expanded", w))
@@ -420,6 +360,7 @@ class ExhaustiveRun {
     std::vector<std::uint32_t> intern_refs;  // chunk-ref scratch (intern)
     ChunkCache cache;
     std::uint64_t restores = 0;
+    std::uint64_t expanded = 0;
   };
 
   Scratch& ScratchHere() {
@@ -438,22 +379,16 @@ class ExhaustiveRun {
     ++sc.restores;
   }
 
-  // Chunks `key` and interns the state; any thread. The merge thread calls
-  // it through worker slot 0's scratch.
-  std::int32_t InternKey(const std::vector<Word>& key) {
-    Scratch& sc = ScratchHere();
+  // Chunks `key` and interns the state; any thread.
+  std::int32_t Intern(Scratch& sc, const std::vector<Word>& key) {
     sc.intern_refs.clear();
     for (std::size_t base = 0; base < key.size(); base += kChunkWords) {
       sc.intern_refs.push_back(InternChunkCached(*store_, sc.cache, key.data() + base,
                                                  std::min(kChunkWords, key.size() - base)));
     }
-    const std::uint64_t hash = HashWords(key.data(), key.size());
-    return store_
-        ->InternState(hash, sc.intern_refs.data(), sc.intern_refs.size(), key.size())
-        .id;
+    return store_->InternState(HashWords(key.data(), key.size()), sc.intern_refs.data(),
+                               sc.intern_refs.size(), key.size());
   }
-
-  // --- worker-side pure computation (stealing phase) ---
 
   // Appends Φ^colour of `sys` into `buf` (cleared first) and compares it
   // against `expected`.
@@ -464,54 +399,43 @@ class ExhaustiveRun {
     return buf == expected;
   }
 
-  // One successor of the state held in sc.base / sc.key_a: reconstruct it
-  // in sc.work, apply `mutate`, record FAILED checks only, serialize,
-  // intern into the sharded store and log the packed id. If the intern was
-  // fresh, hand the state to the scheduler (exactly one thread sees fresh).
-  template <typename Mutate, typename PerColourCheck>
-  void Successor(Scratch& sc, WorkerLog& log, const ExpandRec& rec, StealScheduler* sched,
-                 int lane, Mutate mutate, PerColourCheck check) {
-    const std::uint32_t ordinal = static_cast<std::uint32_t>(log.succs.size()) - rec.succ_begin;
+  // --- exploration: workers expand, the merge thread numbers ---
+
+  // One successor of the state held in sc.key_a: reconstructs it in
+  // sc.work, applies `mutate`, checks condition `cond` (Φ of every colour
+  // but `exempt` is unchanged) and interns the result.
+  template <typename Mutate, typename Describe>
+  void Successor(Scratch& sc, Expansion& e, int cond, int exempt, Mutate mutate,
+                 Describe describe) {
+    const auto ordinal = static_cast<std::uint32_t>(e.succs.size());
     Restore(*sc.work, sc.key_a, sc);
     mutate(*sc.work);
-    // The number of checks a successor contributes is NOT a pure function
-    // of its ordinal: a from-state whose active colour is outside the
-    // regime range (e.g. kernel mode) is checked against every colour, not
-    // colours-1 of them. Record the actual count for the replay.
-    log.succ_checks.push_back(check(*sc.work, sc, ordinal));
+    // A from-state whose active colour is outside the regime range (e.g.
+    // kernel mode) is checked against every colour, so the count varies.
+    std::uint8_t checks = 0;
+    for (int c = 0; c < colours_; ++c) {
+      if (c == exempt) {
+        continue;
+      }
+      ++checks;
+      if (!SamePhi(*sc.work, c, sc.phi_b, sc.before_phi[static_cast<std::size_t>(c)])) {
+        e.fails.push_back({ordinal, {cond, c, 0, describe(c)}});
+      }
+    }
+    e.checks.push_back(checks);
     sc.ser.clear();
     sc.work->AppendFullState(sc.ser);
-    sc.intern_refs.clear();
-    for (std::size_t base = 0; base < sc.ser.size(); base += kChunkWords) {
-      sc.intern_refs.push_back(InternChunkCached(*store_, sc.cache, sc.ser.data() + base,
-                                                 std::min(kChunkWords, sc.ser.size() - base)));
-    }
-    const std::uint64_t hash = HashWords(sc.ser.data(), sc.ser.size());
-    const ShardedStateStore::InternedState interned =
-        store_->InternState(hash, sc.intern_refs.data(), sc.intern_refs.size(), sc.ser.size());
-    log.succs.push_back(interned.id);
-    if (interned.fresh) {
-      if (store_->states() >= options_.max_states) {
-        // Budget heuristic only: the replay decides the true overflow point.
-        stop_.store(true, std::memory_order_relaxed);
-      }
-      if (sched != nullptr && !stop_.load(std::memory_order_relaxed)) {
-        sched->Emit(lane, interned.id);
-      }
-    }
+    e.succs.push_back(Intern(sc, sc.ser));
   }
 
-  // Every successor of one state, in the canonical order the serial checker
-  // generates them: the operation, then each input value into each unit,
-  // then each unit's activity. `sched == nullptr` is the merge thread's
-  // backfill path (record only, no scheduling).
-  void ExpandOne(std::int32_t from, StealScheduler* sched, int lane) {
+  // Every successor of one state, in canonical order; conditions (2) and (4)
+  // are checked on each transition.
+  void ExpandOne(std::int32_t from, Expansion& e) {
     Scratch& sc = ScratchHere();
-    WorkerLog& log = logs_[static_cast<std::size_t>(ThreadPool::CurrentWorkerIndex())];
-    ExpandRec rec;
-    rec.from = from;
-    rec.succ_begin = static_cast<std::uint32_t>(log.succs.size());
-    rec.fail_begin = static_cast<std::uint32_t>(log.fails.size());
+    e.succs.clear();
+    e.checks.clear();
+    e.fails.clear();
+    ++sc.expanded;
 
     store_->MaterializeState(from, sc.refs_a, sc.key_a);
     Restore(*sc.base, sc.key_a, sc);
@@ -523,104 +447,35 @@ class ExhaustiveRun {
     // (a) the operation NEXTOP(s).
     const int active = sc.base->Colour();
     Successor(
-        sc, log, rec, sched, lane, [](SharedSystem& sys) { sys.ExecuteOperation(); },
-        [&](const SharedSystem& after, Scratch& s, std::uint32_t ordinal) -> std::uint8_t {
-          std::uint8_t checks = 0;
-          for (int c = 0; c < colours_; ++c) {
-            if (c == active) {
-              continue;
-            }
-            ++checks;
-            if (!SamePhi(after, c, s.phi_b, s.before_phi[static_cast<std::size_t>(c)])) {
-              log.fails.push_back(
-                  {ordinal, 2, static_cast<std::int16_t>(c),
-                   Format("operation of colour %d changed Φ of colour %d", active, c)});
-            }
-          }
-          return checks;
-        });
+        sc, e, 2, active, [](SharedSystem& sys) { sys.ExecuteOperation(); },
+        [&](int c) { return Format("operation of colour %d changed Φ of colour %d", active, c); });
 
     // (b) every input in the alphabet, into every unit.
     for (int unit = 0; unit < units_; ++unit) {
-      const int owner = initial_->UnitColour(unit);
       for (int value = 1; value <= options_.inputs_per_unit; ++value) {
         Successor(
-            sc, log, rec, sched, lane,
+            sc, e, 4, initial_->UnitColour(unit),
             [&](SharedSystem& sys) { sys.InjectInput(unit, static_cast<Word>(value)); },
-            [&](const SharedSystem& after, Scratch& s, std::uint32_t ordinal) -> std::uint8_t {
-              std::uint8_t checks = 0;
-              for (int c = 0; c < colours_; ++c) {
-                if (c == owner) {
-                  continue;
-                }
-                ++checks;
-                if (!SamePhi(after, c, s.phi_b, s.before_phi[static_cast<std::size_t>(c)])) {
-                  log.fails.push_back({ordinal, 4, static_cast<std::int16_t>(c),
-                                       Format("input to unit %d visible to colour %d", unit, c)});
-                }
-              }
-              return checks;
-            });
+            [&](int c) { return Format("input to unit %d visible to colour %d", unit, c); });
       }
     }
 
     // (c) every unit's activity.
     for (int unit = 0; unit < units_; ++unit) {
-      const int owner = initial_->UnitColour(unit);
       Successor(
-          sc, log, rec, sched, lane,
+          sc, e, 4, initial_->UnitColour(unit),
           [&](SharedSystem& sys) {
             sys.StepUnit(unit);
             (void)sys.DrainOutput(unit);  // keep the state space bounded
           },
-          [&](const SharedSystem& after, Scratch& s, std::uint32_t ordinal) -> std::uint8_t {
-            std::uint8_t checks = 0;
-            for (int c = 0; c < colours_; ++c) {
-              if (c == owner) {
-                continue;
-              }
-              ++checks;
-              if (!SamePhi(after, c, s.phi_b, s.before_phi[static_cast<std::size_t>(c)])) {
-                log.fails.push_back(
-                    {ordinal, 4, static_cast<std::int16_t>(c),
-                     Format("activity of unit %d visible to colour %d", unit, c)});
-              }
-            }
-            return checks;
-          });
-    }
-
-    rec.succ_end = static_cast<std::uint32_t>(log.succs.size());
-    rec.fail_end = static_cast<std::uint32_t>(log.fails.size());
-    log.recs.push_back(rec);
-    const std::size_t new_fails = rec.fail_end - rec.fail_begin;
-    if (new_fails > 0 &&
-        fail_count_.fetch_add(new_fails, std::memory_order_relaxed) + new_fails >=
-            static_cast<std::size_t>(options_.max_violations)) {
-      // Violation-budget heuristic; again, the replay decides the true cut.
-      stop_.store(true, std::memory_order_relaxed);
+          [&](int c) { return Format("activity of unit %d visible to colour %d", unit, c); });
     }
   }
 
-  void Explore(std::int32_t initial_id) {
-    StealScheduler sched(pool_.size(), options_.steal_seed);
-    sched.Seed(initial_id);
-    sched.Run(pool_, [&](std::int64_t item, int lane) {
-      if (stop_.load(std::memory_order_relaxed)) {
-        return;  // drained, not expanded; the replay backfills if needed
-      }
-      ExpandOne(static_cast<std::int32_t>(item), &sched, lane);
-    });
-    report_.steal_count += sched.steal_count();
-  }
-
-  // --- canonical replay (merge thread only) ---
-
-  // Maps a packed id to its slot in a lazily grown per-shard table
-  // (backfill interns states after the tables were first sized).
-  static std::int64_t& SlotIn(std::array<std::vector<std::int64_t>, kShardCount>& table,
-                              std::int32_t packed) {
-    std::vector<std::int64_t>& shard = table[ShardOfId(packed)];
+  // Canonical id of packed state `packed`, or -1 while it is unnumbered.
+  // The per-shard tables grow with the store.
+  std::int32_t& CanonSlot(std::int32_t packed) {
+    std::vector<std::int32_t>& shard = canon_of_[ShardOfId(packed)];
     const std::size_t local = LocalOfId(packed);
     if (local >= shard.size()) {
       shard.resize(local + 1, -1);
@@ -628,168 +483,120 @@ class ExhaustiveRun {
     return shard[local];
   }
 
-  void BuildLocator() {
-    for (std::size_t w = 0; w < logs_.size(); ++w) {
-      for (std::size_t r = 0; r < logs_[w].recs.size(); ++r) {
-        SlotIn(locator_, logs_[w].recs[r].from) =
-            static_cast<std::int64_t>((w << 40) | r);
-      }
-    }
-  }
-
-  // Guarantees an ExpandRec exists for `packed`: states drained by an early
-  // stop are expanded here, on the merge thread, record-only.
-  std::int64_t EnsureRecord(std::int32_t packed) {
-    std::int64_t loc = SlotIn(locator_, packed);
-    if (loc < 0) {
-      ExpandOne(packed, nullptr, 0);
-      const std::size_t w = static_cast<std::size_t>(ThreadPool::CurrentWorkerIndex());
-      loc = static_cast<std::int64_t>((w << 40) | (logs_[w].recs.size() - 1));
-      SlotIn(locator_, packed) = loc;
-    }
-    return loc;
-  }
-
   bool Done() const {
     return static_cast<int>(report_.violations.size()) >= options_.max_violations;
   }
 
-  void CountViolation(const FailRec& f) {
-    ++report_.conditions[static_cast<std::size_t>(f.condition)].violations;
+  void CountViolation(const Violation& v) {
+    ++report_.conditions[static_cast<std::size_t>(v.condition)].violations;
     if (static_cast<int>(report_.violations.size()) < options_.max_violations) {
-      report_.violations.push_back({f.condition, f.colour, 0, f.description});
+      report_.violations.push_back(v);
     }
   }
 
-  // Replays the serial level-synchronous BFS over the recorded successor
-  // lists, assigning canonical ids in the serial FIFO order and reproducing
-  // its exact merge semantics: kLevelChunk dispatch granularity (restores
-  // are counted per dispatched chunk), no early-stop inside one state's
-  // successor list except budget overflow, overflow checked before intern,
-  // per-level heartbeat with the canonical store size.
-  void ReplayExplore(std::int32_t initial_id) {
-    SlotIn(canon_of_, initial_id) = 0;
+  // Consumes one expansion in successor order. Done() is not tested inside
+  // a state's successor list; the state budget is, before each admission.
+  void Merge(const Expansion& e) {
+    std::size_t fi = 0;
+    for (std::uint32_t ord = 0; ord < e.succs.size(); ++ord) {
+      ++report_.transitions;
+      // The operation successor comes first (condition 2); inputs and unit
+      // activity follow (condition 4).
+      report_.conditions[ord == 0 ? 2 : 4].checks += e.checks[ord];
+      for (; fi < e.fails.size() && e.fails[fi].ordinal == ord; ++fi) {
+        CountViolation(e.fails[fi].violation);
+      }
+      std::int32_t& canon = CanonSlot(e.succs[ord]);
+      if (canon < 0) {
+        if (canon_to_packed_.size() >= options_.max_states) {
+          overflowed_ = true;
+          return;
+        }
+        canon = static_cast<std::int32_t>(canon_to_packed_.size());
+        canon_to_packed_.push_back(e.succs[ord]);
+      }
+    }
+  }
+
+  // Level-synchronous BFS. Canonical ids are handed out in BFS order, so
+  // each level is the id range its predecessor level admitted.
+  void Explore(std::int32_t initial_id) {
+    CanonSlot(initial_id) = 0;
     canon_to_packed_.push_back(initial_id);
-    frontier_.push_back(0);
-
-    std::vector<std::int32_t> level;
-    while (!frontier_.empty() && !Done() && !overflowed_) {
-      level.swap(frontier_);
-      frontier_.clear();
-
+    std::vector<Expansion> slice(kSliceStates);
+    std::size_t level_begin = 0;
+    std::size_t depth = 0;
+    while (level_begin < canon_to_packed_.size() && !Done() && !overflowed_) {
+      const std::size_t level_end = canon_to_packed_.size();
       // One heartbeat per BFS level: tick carries the canonical store size
       // (states may exceed a Word), a0/a1 the saturated level width/depth.
       if (obs::Enabled()) {
-        obs::Emit(obs::Category::kChecker, obs::Code::kHeartbeat, obs::kColourKernel,
-                  canon_to_packed_.size(), SaturateWord(level.size()), SaturateWord(depth_++));
+        obs::Emit(obs::Category::kChecker, obs::Code::kHeartbeat, obs::kColourKernel, level_end,
+                  SaturateWord(level_end - level_begin), SaturateWord(depth));
       }
-
-      for (std::size_t base = 0; base < level.size() && !Done() && !overflowed_;
-           base += kLevelChunk) {
-        const std::size_t count = std::min(kLevelChunk, level.size() - base);
-        // The serial schedule expands the whole chunk before merging it.
-        sim_restores_ += count * (1 + fanout_);
-        for (std::size_t i = 0; i < count; ++i) {
-          EnsureRecord(canon_to_packed_[static_cast<std::size_t>(level[base + i])]);
-        }
+      ++depth;
+      for (std::size_t base = level_begin; base < level_end && !Done() && !overflowed_;
+           base += kSliceStates) {
+        const std::size_t count = std::min(kSliceStates, level_end - base);
+        pool_.ParallelFor(count,
+                          [&](std::size_t i) { ExpandOne(canon_to_packed_[base + i], slice[i]); });
         for (std::size_t i = 0; i < count && !Done() && !overflowed_; ++i) {
-          const std::int64_t loc =
-              SlotIn(locator_, canon_to_packed_[static_cast<std::size_t>(level[base + i])]);
-          const WorkerLog& log = logs_[static_cast<std::size_t>(loc >> 40)];
-          const ExpandRec rec = log.recs[static_cast<std::size_t>(loc & ((1LL << 40) - 1))];
-          std::uint32_t fi = rec.fail_begin;
-          const std::uint32_t nsuccs = rec.succ_end - rec.succ_begin;
-          for (std::uint32_t ord = 0; ord < nsuccs; ++ord) {
-            ++report_.transitions;
-            // Splice in the checks: cond 2 for the operation successor,
-            // cond 4 otherwise, with the per-successor count the worker
-            // actually evaluated; recorded failures land at their ordinals.
-            const int cond = ord == 0 ? 2 : 4;
-            report_.conditions[static_cast<std::size_t>(cond)].checks +=
-                log.succ_checks[rec.succ_begin + ord];
-            while (fi < rec.fail_end && log.fails[fi].ordinal == ord) {
-              CountViolation(log.fails[fi]);
-              ++fi;
-            }
-            const std::int32_t sp = log.succs[rec.succ_begin + ord];
-            std::int64_t& canon = SlotIn(canon_of_, sp);
-            if (canon < 0) {
-              if (canon_to_packed_.size() >= options_.max_states) {
-                overflowed_ = true;
-                break;
-              }
-              canon = static_cast<std::int64_t>(canon_to_packed_.size());
-              canon_to_packed_.push_back(sp);
-              frontier_.push_back(static_cast<std::int32_t>(canon));
-            }
-          }
+          Merge(slice[i]);
         }
       }
+      level_begin = level_end;
     }
-    report_.complete = frontier_.empty() && !overflowed_ && !Done();
+    report_.complete = level_begin == canon_to_packed_.size() && !overflowed_ && !Done();
   }
 
-  // Re-interns only the canonical states, in canonical order, into a fresh
-  // store. Every vector's growth then depends on the canonical sequence
-  // alone, so bytes() matches what the serial schedule's store reports.
-  void RebuildStore() {
-    auto rebuilt = std::make_unique<ShardedStateStore>();
-    std::vector<std::uint32_t> refs;
-    std::vector<std::uint32_t> new_refs;
-    std::vector<Word> key;
-    for (std::int32_t& packed : canon_to_packed_) {
-      store_->MaterializeState(packed, refs, key);
-      new_refs.clear();
-      for (std::size_t base = 0; base < key.size(); base += kChunkWords) {
-        const std::size_t n = std::min(kChunkWords, key.size() - base);
-        new_refs.push_back(rebuilt->InternChunk(HashWords(key.data() + base, n), key.data() + base, n));
-      }
-      const ShardedStateStore::InternedState interned = rebuilt->InternState(
-          HashWords(key.data(), key.size()), new_refs.data(), new_refs.size(), key.size());
-      SEP_CHECK(interned.fresh);
-      packed = interned.id;
-    }
-    store_ = std::move(rebuilt);
-    // Worker chunk caches hold refs into the dropped store; nothing interns
-    // chunks after this point (the pair phase only materializes), so they
-    // are never consulted again.
-  }
+  // --- pair phase ---
 
-  // --- pair phase: same stealing pool, canonical replay of outcomes ---
-
-  // The checks of conditions 6, 1, 3 and 5 for one Φ-equal pair, in the
-  // serial checker's order; records failures by check position. `a`/`b`
+  // The checks of conditions 6, 1, 3 and 5 for one Φ-equal pair. `a`/`b`
   // are canonical ids.
-  void CheckPairRecord(int c, std::int32_t a, std::int32_t b, std::vector<FailRec>& out) {
+  void CheckPair(int c, std::int32_t a, std::int32_t b, PairOutcome& out) {
     Scratch& sc = ScratchHere();
-    std::uint32_t pos = 0;
-    auto fail = [&](int cond, std::string description) {
-      out.push_back({pos, static_cast<std::int16_t>(cond), static_cast<std::int16_t>(c),
-                     std::move(description)});
+    out.checks.fill(0);
+    out.fails.clear();
+    const auto fail = [&](int cond, std::string description) {
+      out.fails.push_back({cond, c, 0, std::move(description)});
     };
-    store_->MaterializeState(canon_to_packed_[static_cast<std::size_t>(a)], sc.refs_a, sc.key_a);
-    store_->MaterializeState(canon_to_packed_[static_cast<std::size_t>(b)], sc.refs_b, sc.key_b);
-
+    // Reconstructs a into sc.base and b into sc.work. A task that checks
+    // nothing (colours differ, no unit of colour c) never materializes.
+    bool materialized = false;
+    const auto restore_pair = [&] {
+      if (!materialized) {
+        store_->MaterializeState(canon_to_packed_[static_cast<std::size_t>(a)], sc.refs_a,
+                                 sc.key_a);
+        store_->MaterializeState(canon_to_packed_[static_cast<std::size_t>(b)], sc.refs_b,
+                                 sc.key_b);
+        materialized = true;
+      }
+      Restore(*sc.base, sc.key_a, sc);
+      Restore(*sc.work, sc.key_b, sc);
+    };
+    // Checks Φ^c of sc.base against Φ^c of sc.work (condition `cond`).
+    const auto same_effect = [&](int cond) {
+      ++out.checks[static_cast<std::size_t>(cond)];
+      sc.phi_a.clear();
+      sc.base->AppendAbstract(c, sc.phi_a);
+      return SamePhi(*sc.work, c, sc.phi_b, sc.phi_a);
+    };
     // Conditions 6 and 1: same colour + same Φ^c.
     if (state_colours_[static_cast<std::size_t>(a)] == c &&
         state_colours_[static_cast<std::size_t>(b)] == c) {
-      Restore(*sc.base, sc.key_a, sc);
-      Restore(*sc.work, sc.key_b, sc);
+      restore_pair();
       const OperationId na = sc.base->NextOperation();
       const OperationId nb = sc.work->NextOperation();
+      ++out.checks[6];
       if (na != nb) {
         fail(6, Format("NEXTOP differs for Φ-equal states of colour %d: %s vs %s", c,
                        na.ToString().c_str(), nb.ToString().c_str()));
       }
-      ++pos;
       sc.base->ExecuteOperation();
       sc.work->ExecuteOperation();
-      sc.phi_a.clear();
-      sc.base->AppendAbstract(c, sc.phi_a);
-      if (!SamePhi(*sc.work, c, sc.phi_b, sc.phi_a)) {
+      if (!same_effect(1)) {
         fail(1, Format("operation effect on colour %d differs across Φ-equal states", c));
       }
-      ++pos;
     }
 
     // Conditions 3 and 5 for each unit of colour c.
@@ -798,80 +605,29 @@ class ExhaustiveRun {
         continue;
       }
       for (int value = 1; value <= options_.inputs_per_unit; ++value) {
-        Restore(*sc.base, sc.key_a, sc);
-        Restore(*sc.work, sc.key_b, sc);
+        restore_pair();
         sc.base->InjectInput(unit, static_cast<Word>(value));
         sc.work->InjectInput(unit, static_cast<Word>(value));
-        sc.phi_a.clear();
-        sc.base->AppendAbstract(c, sc.phi_a);
-        if (!SamePhi(*sc.work, c, sc.phi_b, sc.phi_a)) {
+        if (!same_effect(3)) {
           fail(3, Format("input effect on colour %d differs across Φ-equal states", c));
         }
-        ++pos;
       }
-      Restore(*sc.base, sc.key_a, sc);
-      Restore(*sc.work, sc.key_b, sc);
+      restore_pair();
       sc.base->StepUnit(unit);
       sc.work->StepUnit(unit);
-      sc.phi_a.clear();
-      sc.base->AppendAbstract(c, sc.phi_a);
-      if (!SamePhi(*sc.work, c, sc.phi_b, sc.phi_a)) {
+      if (!same_effect(3)) {
         fail(3, Format("unit activity on colour %d differs across Φ-equal states", c));
       }
-      ++pos;
+      ++out.checks[5];
       if (sc.base->DrainOutput(unit) != sc.work->DrainOutput(unit)) {
         fail(5, Format("output of colour %d differs across Φ-equal states", c));
       }
-      ++pos;
     }
   }
 
-  // Replays one pair task's check sequence, splicing recorded failures in
-  // by position. Mirrors CheckPairRecord's structure exactly.
-  void ReplayPairTask(int c, std::int32_t a, std::int32_t b, const std::vector<FailRec>& fails) {
-    std::uint32_t pos = 0;
-    std::size_t fi = 0;
-    auto check = [&](int cond) {
-      ++report_.conditions[static_cast<std::size_t>(cond)].checks;
-      if (fi < fails.size() && fails[fi].ordinal == pos) {
-        CountViolation(fails[fi]);
-        ++fi;
-      }
-      ++pos;
-    };
-    if (state_colours_[static_cast<std::size_t>(a)] == c &&
-        state_colours_[static_cast<std::size_t>(b)] == c) {
-      check(6);
-      check(1);
-    }
-    for (int unit = 0; unit < units_; ++unit) {
-      if (initial_->UnitColour(unit) != c) {
-        continue;
-      }
-      for (int value = 1; value <= options_.inputs_per_unit; ++value) {
-        check(3);
-      }
-      check(3);
-      check(5);
-    }
-  }
-
-  // RestoreFullState calls one pair task costs the serial schedule.
-  std::uint64_t PairTaskCost(int c, std::int32_t a, std::int32_t b,
-                             std::uint64_t units_of_colour) const {
-    const std::uint64_t both =
-        state_colours_[static_cast<std::size_t>(a)] == c &&
-                state_colours_[static_cast<std::size_t>(b)] == c
-            ? 2
-            : 0;
-    return both + units_of_colour * (2 * static_cast<std::uint64_t>(options_.inputs_per_unit) + 2);
-  }
-
-  // Conditions with a two-state antecedent, over every Φ-equal pair.
-  // Workers compute outcomes on the stealing pool in waves; the merge
-  // thread consumes them with the serial kPairChunk stop semantics, so the
-  // report (including which pair hits the max_violations cut) is identical
-  // to the serial schedule's.
+  // Conditions with a two-state antecedent, over every Φ-equal pair. Tasks
+  // are enumerated in canonical order and computed in waves; the merge
+  // tests Done() between tasks.
   void CheckPairs() {
     const std::size_t n = canon_to_packed_.size();
 
@@ -879,48 +635,31 @@ class ExhaustiveRun {
       std::int32_t a;
       std::int32_t b;
     };
-    // Wave width is a dispatch knob only (larger = less barrier overhead,
-    // more post-cut overshoot); the replay's chunk semantics — and with
-    // them every report field — do not depend on it, so it MAY scale with
-    // the pool. Always a multiple of kPairChunk.
-    const std::size_t wave_cap =
-        kPairChunk * std::clamp<std::size_t>(static_cast<std::size_t>(pool_.size()) * 4, 1, 32);
     std::vector<std::vector<Word>> phis(n);
     std::vector<int> order(n);
     state_colours_.assign(n, kColourNone);
     std::vector<PairTask> tasks;
-    std::vector<std::vector<FailRec>> outcomes(wave_cap);
-    bool colours_known = false;
+    std::vector<PairOutcome> wave(kPairWave);
 
     for (int c = 0; c < colours_ && !Done(); ++c) {
       // Group reachable states by Φ^c. Each worker reconstructs the state
       // in its scratch system, computes Φ^c once into the per-state slot
       // and (on the first colour) records COLOUR(s) so the pair probes can
-      // test their condition-6/1 antecedent without a restore. Grain adapts
-      // to pool and problem width (the old fixed batch starved wide pools).
-      pool_.ParallelFor(n, ThreadPool::AdaptiveGrain(n, pool_.size()), [&](std::size_t i) {
+      // test their condition-6/1 antecedent without a restore.
+      pool_.ParallelFor(n, [&](std::size_t i) {
         Scratch& sc = ScratchHere();
         store_->MaterializeState(canon_to_packed_[i], sc.refs_a, sc.key_a);
         Restore(*sc.base, sc.key_a, sc);
-        if (!colours_known) {
+        if (c == 0) {
           state_colours_[i] = static_cast<std::int8_t>(sc.base->Colour());
         }
         phis[i].clear();
         sc.base->AppendAbstract(c, phis[i]);
       });
-      colours_known = true;
-      sim_restores_ += n;
 
-      std::uint64_t units_of_colour = 0;
-      for (int unit = 0; unit < units_; ++unit) {
-        if (initial_->UnitColour(unit) == c) {
-          ++units_of_colour;
-        }
-      }
-
-      // Enumerate pairs in the serial order: groups by ascending Φ key (the
-      // order a std::map would iterate), members by ascending state id,
-      // pairs lexicographically within a group, capped per group.
+      // Enumerate pairs in canonical order: groups by ascending Φ key,
+      // members by ascending state id, pairs lexicographically within a
+      // group, capped per group.
       for (std::size_t i = 0; i < n; ++i) {
         order[i] = static_cast<int>(i);
       }
@@ -950,39 +689,19 @@ class ExhaustiveRun {
         begin = end;
       }
 
-      std::size_t dispatched = 0;
-      std::size_t wave_begin = 0;
-      for (std::size_t base = 0; base < tasks.size() && !Done(); base += kPairChunk) {
-        const std::size_t count = std::min(kPairChunk, tasks.size() - base);
-        if (base == dispatched) {
-          // Replay fully consumed the previous wave; compute the next one
-          // on the stealing pool.
-          wave_begin = dispatched;
-          const std::size_t wave_end = std::min(tasks.size(), wave_begin + wave_cap);
-          for (std::size_t slot = 0; slot < wave_end - wave_begin; ++slot) {
-            outcomes[slot].clear();
-          }
-          StealScheduler sched(pool_.size(), options_.steal_seed + ++wave_counter_);
-          for (std::size_t t = wave_begin; t < wave_end; ++t) {
-            sched.Seed(static_cast<std::int64_t>(t));
-          }
-          sched.Run(pool_, [&](std::int64_t t, int /*lane*/) {
-            const PairTask& task = tasks[static_cast<std::size_t>(t)];
-            CheckPairRecord(c, task.a, task.b, outcomes[static_cast<std::size_t>(t) - wave_begin]);
-          });
-          report_.steal_count += sched.steal_count();
-          dispatched = wave_end;
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-          sim_restores_ += PairTaskCost(c, tasks[base + i].a, tasks[base + i].b, units_of_colour);
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-          if (Done()) {
-            return;
-          }
+      for (std::size_t base = 0; base < tasks.size() && !Done(); base += kPairWave) {
+        const std::size_t count = std::min(kPairWave, tasks.size() - base);
+        pool_.ParallelFor(count, [&](std::size_t i) {
+          CheckPair(c, tasks[base + i].a, tasks[base + i].b, wave[i]);
+        });
+        for (std::size_t i = 0; i < count && !Done(); ++i) {
           ++report_.pairs_checked;
-          ReplayPairTask(c, tasks[base + i].a, tasks[base + i].b,
-                         outcomes[base + i - wave_begin]);
+          for (std::size_t cond = 0; cond < wave[i].checks.size(); ++cond) {
+            report_.conditions[cond].checks += wave[i].checks[cond];
+          }
+          for (const Violation& v : wave[i].fails) {
+            CountViolation(v);
+          }
         }
       }
     }
@@ -993,22 +712,13 @@ class ExhaustiveRun {
   std::unique_ptr<ShardedStateStore> store_;
   int colours_ = 0;
   int units_ = 0;
-  std::size_t fanout_ = 0;
   ThreadPool pool_;
   std::vector<Scratch> scratch_;
-  std::vector<WorkerLog> logs_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> fail_count_{0};
 
   // Merge-thread-only canonical state.
-  std::array<std::vector<std::int64_t>, kShardCount> canon_of_;   // packed -> canon id
-  std::array<std::vector<std::int64_t>, kShardCount> locator_;    // packed -> (worker, rec)
-  std::vector<std::int32_t> canon_to_packed_;                     // canon id -> packed
-  std::vector<std::int32_t> frontier_;                            // canon ids
+  std::array<std::vector<std::int32_t>, kShardCount> canon_of_;  // packed -> canon id
+  std::vector<std::int32_t> canon_to_packed_;                    // canon id -> packed
   std::vector<std::int8_t> state_colours_;  // COLOUR(s) per canon id (CheckPairs)
-  std::size_t depth_ = 0;                   // BFS levels completed (heartbeat)
-  std::uint64_t sim_restores_ = 0;          // serial-equivalent restore count
-  std::uint64_t wave_counter_ = 0;
   bool overflowed_ = false;
   ExhaustiveReport report_;
 };

@@ -17,6 +17,12 @@
 // state budget get `complete == false` (the partial result is still sound:
 // any violation found is real).
 //
+// Exploration is a level-synchronous BFS: each level is expanded in
+// fixed-size slices on a thread pool and merged by one thread in canonical
+// order, and pair checking runs in fixed-size waves the same way. Because
+// the slice and wave sizes are constants, the report is byte-identical at
+// every thread count by construction (docs/PERFORMANCE.md §6).
+//
 // Requires SharedSystem::FullState() support (a canonical serialization of
 // the complete concrete state) and its inverse RestoreFullState(): the
 // checker stores only the serialized words — deduplicated 64-word chunks in
@@ -44,15 +50,12 @@ struct ExhaustiveOptions {
   // against quadratic blowup on degenerate abstractions).
   std::size_t max_pairs_per_group = 4096;
   int max_violations = 16;
-  // Worker threads for frontier expansion and pair checking (0 = all
-  // hardware threads). Expansion runs on a work-stealing frontier with a
-  // sharded concurrent store; the report is nonetheless byte-identical for
-  // every thread count: workers record pure per-state / per-pair outcomes
-  // and a canonical replay renumbers states and reproduces the serial
-  // schedule exactly (see docs/PERFORMANCE.md §6).
+  // Worker threads for expansion and pair checking (0 = all hardware
+  // threads). Every report field except the per-worker diagnostics is the
+  // same at every thread count.
   int threads = 1;
-  // Perturbs the steal-victim order (not the workload). Any seed must yield
-  // a byte-identical report; the schedule-perturbation tests sweep this.
+  // Has no effect: exploration has no steal schedule to perturb. Kept so
+  // existing callers still compile.
   std::uint64_t steal_seed = 0;
 };
 
@@ -65,21 +68,20 @@ struct ExhaustiveReport {
   std::vector<Violation> violations;
   // Resident footprint of the compact state store (serialized words, chunk
   // tables and hash indexes) at the end of the run — the checker keeps no
-  // live machine per state, so this is the scaling-relevant number.
+  // live machine per state, so this is the scaling-relevant number. The
+  // store holds every successor of every expanded state, so a truncated run
+  // also counts the successors it computed but did not admit.
   std::size_t peak_state_bytes = 0;
-  // RestoreFullState calls of the SERIAL-EQUIVALENT schedule: the canonical
-  // replay reconstructs exactly how many restores the serial dispatch order
-  // performs, so this is deterministic for a given system and options
-  // regardless of thread count or steal schedule. Actual per-worker restore
-  // counts (which include stealing overshoot on truncated runs) are
-  // exported as `exhaustive.workerN.restores` gauges instead.
+  // RestoreFullState calls the run made. Deterministic, like the store
+  // size: which states and pair tasks get computed does not depend on the
+  // thread count.
   std::uint64_t restore_count = 0;
-  // Exploration-balance diagnostics (schedule-dependent by nature; compare
-  // them across runs only qualitatively). Also exported as gauges so
-  // `sep_trace --format metrics` shows them.
-  std::uint64_t steal_count = 0;          // successful deque steals, both phases
-  std::size_t shard_max_load = 0;         // most populated state shard
-  std::vector<std::uint64_t> worker_expanded;  // stealing-phase expansions per worker
+  // Always 0: the checker no longer steals work. Kept for existing readers.
+  std::uint64_t steal_count = 0;
+  std::size_t shard_max_load = 0;  // most populated state shard
+  // States expanded by each pool worker: the one schedule-dependent field.
+  // Also exported as `exhaustive.workerN.expanded` gauges.
+  std::vector<std::uint64_t> worker_expanded;
 
   bool Passed() const { return violations.empty(); }
   std::string Summary() const;

@@ -139,8 +139,10 @@ struct RelSet {
     return i * kRegs - i * (i + 1) / 2 + (j - i - 1);
   }
 
-  // Ri − Rj for any register order (negated when i > j).
+  // Ri − Rj for any register order (negated when i > j). A register's
+  // difference with itself is exactly 0 and has no slot.
   RelBound Get(int i, int j) const {
+    if (i == j) return {0, 0};
     if (i < j) return pairs[static_cast<std::size_t>(Index(i, j))];
     const RelBound b = pairs[static_cast<std::size_t>(Index(j, i))];
     return {b.hi >= RelBound::kInf ? -RelBound::kInf : -b.hi,
@@ -150,6 +152,7 @@ struct RelSet {
   // Intersects Ri − Rj with [lo, hi]; false when the result is empty (the
   // state is unreachable). Saturates at ±kInf.
   bool Refine(int i, int j, std::int32_t lo, std::int32_t hi) {
+    if (i == j) return lo <= 0 && 0 <= hi;
     if (i > j) {
       std::swap(i, j);
       const std::int32_t nlo = hi >= RelBound::kInf ? -RelBound::kInf : -hi;
@@ -179,6 +182,7 @@ struct RelSet {
     if (dst == src) return;
     std::array<RelBound, kRegs> inherited;
     for (int q = 0; q < kRegs; ++q) {
+      if (q == src) continue;
       inherited[static_cast<std::size_t>(q)] = Get(src, q);
     }
     Drop(dst);

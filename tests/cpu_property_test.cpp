@@ -12,10 +12,16 @@
 namespace sep {
 namespace {
 
+// Every byte of a case is set. gtest prints a parameter that has no printer as
+// its raw object bytes, and that dump is part of each test name ctest
+// registers. Compiler padding or a pointer to the name would put uninitialized
+// memory and address-randomized bytes into the names and vary them per build.
 struct AluCase {
   Opcode op;
-  const char* name;
+  std::uint8_t zero[7] = {};
+  char name[8];
 };
+static_assert(sizeof(AluCase) == 16);
 
 class AluProperty : public ::testing::TestWithParam<AluCase> {
  protected:
@@ -86,13 +92,13 @@ TEST_P(AluProperty, PcAdvancesByEncodedLength) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTwoOperand, AluProperty,
-                         ::testing::Values(AluCase{Opcode::kMov, "MOV"},
-                                           AluCase{Opcode::kAdd, "ADD"},
-                                           AluCase{Opcode::kSub, "SUB"},
-                                           AluCase{Opcode::kCmp, "CMP"},
-                                           AluCase{Opcode::kBic, "BIC"},
-                                           AluCase{Opcode::kBis, "BIS"},
-                                           AluCase{Opcode::kXor, "XOR"}),
+                         ::testing::Values(AluCase{.op = Opcode::kMov, .name = "MOV"},
+                                           AluCase{.op = Opcode::kAdd, .name = "ADD"},
+                                           AluCase{.op = Opcode::kSub, .name = "SUB"},
+                                           AluCase{.op = Opcode::kCmp, .name = "CMP"},
+                                           AluCase{.op = Opcode::kBic, .name = "BIC"},
+                                           AluCase{.op = Opcode::kBis, .name = "BIS"},
+                                           AluCase{.op = Opcode::kXor, .name = "XOR"}),
                          [](const ::testing::TestParamInfo<AluCase>& info) {
                            return info.param.name;
                          });

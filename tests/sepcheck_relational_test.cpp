@@ -87,6 +87,20 @@ TEST(RelSet, RefineGetAndCopySemantics) {
   EXPECT_EQ(copy.Get(2, 0).hi, 7);
 }
 
+TEST(RelSet, SelfDifferenceIsExactlyZeroAndOwnsNoSlot) {
+  // Index(i, j) is defined only for i < j: Index(1, 1) is the R0 − SP slot
+  // and Index(0, 0) is -1, so the diagonal must never reach the table.
+  RelSet rel;
+  ASSERT_TRUE(rel.Refine(1, 1, 0, 0));
+  EXPECT_TRUE(rel.Get(0, 6).IsTop());
+  EXPECT_FALSE(rel.Refine(2, 2, 1, 5));  // R2 − R2 is never in [1, 5]
+  EXPECT_EQ(rel, RelSet{});
+  for (int r = 0; r < RelSet::kRegs; ++r) {
+    EXPECT_EQ(rel.Get(r, r).lo, 0) << "R" << r;
+    EXPECT_EQ(rel.Get(r, r).hi, 0) << "R" << r;
+  }
+}
+
 TEST(RelSet, ShiftMovesAllConstraintsOfOneRegister) {
   RelSet rel;
   ASSERT_TRUE(rel.Refine(4, 3, 0x100, 0x100));
@@ -265,6 +279,22 @@ TEST(Soundness, GuardOnTheWrongRegisterDoesNotHelp) {
       "       MOV R5, (R4)\n"
       "SKIP:  TRAP 7\n");
   EXPECT_FALSE(a.Certified());
+}
+
+TEST(Soundness, SelfCompareTeachesNothingAboutOtherRegisters) {
+  // CMP R1, R1 compares a register with itself, so the BNE fall-through
+  // learns nothing about R0 (an unknown word copied from memory) or SP.
+  // The store through R0 must stay flagged.
+  ProgramAnalysis a = Analyze(
+      "START: MOV #0x100, SP\n"
+      "       MOV @0x80, R1\n"
+      "       MOV R1, R0\n"
+      "       CMP R1, R1\n"
+      "       BNE DONE\n"
+      "       MOV #1, (R0)\n"
+      "DONE:  BR DONE\n");
+  EXPECT_FALSE(a.Certified());
+  EXPECT_TRUE(HasKind(a.findings, "unbounded-write"));
 }
 
 TEST(Soundness, SignedBranchesRefineOnlyWhenBothSidesAreSmall) {

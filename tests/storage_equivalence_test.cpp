@@ -134,10 +134,10 @@ TEST(StorageEquivalence, TinySystemsMatchGolden) {
 }
 
 TEST(StorageEquivalence, SchedulePerturbationKeepsReportsByteIdentical) {
-  // The steal-victim order is a function of steal_seed; sweeping it at
-  // several thread counts perturbs which worker expands which state and in
-  // what order. The canonical post-pass must erase all of it: every
-  // rendering equals the serial golden byte for byte.
+  // Thread counts change which worker expands which state and in what
+  // order; steal_seed has no effect but is still swept, so a dependence on
+  // it would show. None of it may reach the report: every rendering equals
+  // the serial golden byte for byte.
   auto good = BuildHalting();
   KernelFaults faults;
   faults.skip_register_restore = true;
@@ -145,7 +145,7 @@ TEST(StorageEquivalence, SchedulePerturbationKeepsReportsByteIdentical) {
 
   int hw = ThreadPool::HardwareThreads();
   if (hw < 2) {
-    hw = 4;  // oversubscribe on 1-core hosts: stealing still interleaves
+    hw = 4;  // oversubscribe on 1-core hosts: workers still interleave
   }
   for (int threads : {1, 2, hw}) {
     for (std::uint64_t seed : {0ull, 1ull, 0xDEADBEEFull, 0x9E3779B97F4A7C15ull}) {
@@ -162,9 +162,9 @@ TEST(StorageEquivalence, SchedulePerturbationKeepsReportsByteIdentical) {
 
 TEST(StorageEquivalence, SchedulePerturbationOnWiderStateSpace) {
   // Same sweep over the tiny system's 3528-state space: wide enough that
-  // parallel workers genuinely race on shard inserts and steal from each
-  // other, so a schedule-dependence bug cannot hide behind an 11-state
-  // chain that one worker swallows whole.
+  // parallel workers genuinely race on shard inserts within a slice, so a
+  // schedule-dependence bug cannot hide behind an 11-state chain whose
+  // one-state slices run inline.
   for (std::uint64_t seed : {1ull, 0xC0FFEEull}) {
     ExhaustiveOptions options;
     options.threads = 4;

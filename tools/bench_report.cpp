@@ -30,12 +30,12 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: bench_report [--bindir DIR] [--out FILE] [--compare FILE]\n"
-    "                    [--tolerance F] [--jobs N] [--smoke] [--help]\n"
+    "                    [--tolerance F] [--smoke] [--help]\n"
     "\n"
     "Runs the benchmark binaries under DIR, writes a sep-bench-v1 JSON\n"
     "report, and (with --compare) fails on guarded-metric regressions\n"
-    "beyond the tolerance (default 0.25). --jobs bounds sepcheck\n"
-    "parallelism; --smoke trades precision for runtime.\n";
+    "beyond the tolerance (default 0.25). --smoke trades precision for\n"
+    "runtime.\n";
 
 int UsageError(const char* message, const char* value) {
   std::fprintf(stderr, "bench_report: %s: %s\n%s", message, value, kUsage);
@@ -48,7 +48,6 @@ struct Options {
   std::string compare;
   double tolerance = 0.25;
   bool smoke = false;
-  int jobs = 0;  // 0 = hardware_concurrency
 };
 
 // Runs `command`, returning its whole stdout; exits on failure. stderr is
@@ -173,13 +172,6 @@ int main(int argc, char** argv) {
         return UsageError("--tolerance needs a non-negative number", value.c_str());
       }
       opt.tolerance = *parsed;
-    } else if (arg == "--jobs") {
-      const std::string value = next();
-      const std::optional<long long> parsed = sep::ParseInt(value, 1, 4096);
-      if (!parsed.has_value()) {
-        return UsageError("--jobs needs an integer in [1, 4096]", value.c_str());
-      }
-      opt.jobs = static_cast<int>(*parsed);
     } else if (arg == "--smoke") {
       opt.smoke = true;
     } else if (arg == "--help") {
@@ -204,7 +196,6 @@ int main(int argc, char** argv) {
     }
   }
   const int threads = static_cast<int>(std::thread::hardware_concurrency());
-  const int jobs = opt.jobs > 0 ? opt.jobs : std::max(threads, 1);
   // Smoke mode trades precision for runtime so CI can gate on it.
   const char* min_time = opt.smoke ? "0.05" : "0.5";
   const int sepcheck_runs = opt.smoke ? 3 : 15;
@@ -238,8 +229,6 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "bench_report: timing sepcheck...\n");
   const std::string sepcheck = opt.bindir + "/tools/sepcheck --all";
   const double sepcheck_serial = BestSeconds(sepcheck + " > /dev/null", sepcheck_runs);
-  const double sepcheck_parallel =
-      BestSeconds(sepcheck + " --jobs " + std::to_string(jobs) + " > /dev/null", sepcheck_runs);
 
   const double cached = Metric(m1, "BM_InstructionThroughput");
   const double uncached = Metric(m1, "BM_InstructionThroughputNoCache");
@@ -285,11 +274,12 @@ int main(int argc, char** argv) {
   metrics["exhaustive_parallel_speedup"] = ex_parallel / ex_serial;
   metrics["exhaustive_kernelized_sps"] = ex_kernelized;
   metrics["exhaustive_steal_sps"] = ex_steal;
-  // Work-stealing frontier vs the serial schedule on the full kernelized
-  // exploration. On a >= 4-core host the design target is >= 2.5; on a
-  // single-core host the honest value is <= 1 and the guard is skipped
-  // with a printed note (see parallel_guards below). BENCH_3..BENCH_7
-  // baselines predate this metric and were recorded on 1-core hosts.
+  // All hardware threads vs one thread on the full kernelized check, in
+  // wall time (the name predates the level-synchronous engine; it is kept
+  // so committed baselines line up). On a single-core host the honest value
+  // is <= 1 and the guard is skipped with a printed note (see
+  // parallel_guards below). BENCH_3..BENCH_7 baselines predate this metric
+  // and were recorded on 1-core hosts.
   metrics["exhaustive_steal_speedup"] = ex_steal / ex_kernelized;
   // Compact-store density: full kernelized machine states per MiB of state
   // store. A pure data-layout property, independent of host speed.
@@ -317,7 +307,6 @@ int main(int argc, char** argv) {
   metrics["channel_xnode_batched_wps"] = chan_xnode_batched;
   metrics["channel_xnode_batch_speedup"] = chan_xnode_batched / chan_xnode_plain;
   metrics["sepcheck_all_seconds"] = sepcheck_serial;
-  metrics["sepcheck_jobs_seconds"] = sepcheck_parallel;
   // Full static-analysis catalogue passes per second, per million emulated
   // instructions per second. Normalizing by the host's machine speed makes
   // this track the analyzer's own cost (relational joins, widening, branch
@@ -353,8 +342,7 @@ int main(int argc, char** argv) {
 
   std::string json = "{\n  \"schema\": \"sep-bench-v1\",\n";
   json += "  \"host\": {\"hardware_threads\": " + std::to_string(threads) + "},\n";
-  json += "  \"config\": {\"smoke\": " + std::string(opt.smoke ? "true" : "false") +
-          ", \"jobs\": " + std::to_string(jobs) + "},\n";
+  json += "  \"config\": {\"smoke\": " + std::string(opt.smoke ? "true" : "false") + "},\n";
   json += "  \"metrics\": {\n";
   bool first = true;
   for (const auto& [name, value] : metrics) {

@@ -22,12 +22,16 @@
 // chaos. Each seed deterministically fixes the whole (crash-point x
 // restart-delay x link-fault) schedule; the verdict per seed is whether the
 // receiving host's stream was byte-identical to the undisturbed baseline.
-// Any failing seed makes the exit status non-zero; with --record FILE the
-// failing schedule (the crashes the run actually performed) is greedily
-// shrunk to a minimal still-failing schedule and appended to FILE, which
-// --replay FILE re-executes to confirm the failure reproduces exactly.
+// The tick budget grows with the packet count. A failing seed is labelled
+// TIMEOUT when the stream delivered so far is a correct prefix of the
+// baseline (the budget ran out), DIVERGENT otherwise. Any failing seed makes
+// the exit status non-zero; with --record FILE the failing schedule (the
+// crashes the run actually performed) is shrunk to a minimal still-failing
+// schedule and appended to FILE, which --replay FILE re-executes to confirm
+// the failure reproduces exactly.
 // --break-resync disables the write-ahead ack-commit rule and the restart
 // handshake — the deliberately broken configuration the sweep must catch.
+#include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -51,16 +55,17 @@ std::vector<Frame> Baseline(int packets) {
   return static_cast<HostSink&>(net.process(topo.host_rx)).packets();
 }
 
+// Number of leading frames of `a` equal to those of `b`.
+std::size_t CommonPrefix(const std::vector<Frame>& a, const std::vector<Frame>& b) {
+  std::size_t i = 0;
+  while (i < a.size() && i < b.size() && a[i].type == b[i].type && a[i].fields == b[i].fields) {
+    ++i;
+  }
+  return i;
+}
+
 bool SameStream(const std::vector<Frame>& a, const std::vector<Frame>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].type != b[i].type || a[i].fields != b[i].fields) {
-      return false;
-    }
-  }
-  return true;
+  return a.size() == b.size() && CommonPrefix(a, b) == a.size();
 }
 
 constexpr char kUsage[] =
@@ -107,6 +112,10 @@ struct ExplicitCrash {
 
 struct CrashChaosResult {
   bool identical = false;
+  std::size_t delivered = 0;  // packets the receiving host got
+  // The run failed only by running out of ticks: what arrived is a correct
+  // strict prefix of the baseline.
+  bool timeout = false;
   std::uint64_t crashes = 0;
   std::uint64_t cold = 0;
   std::vector<ExplicitCrash> performed;  // what the run actually did
@@ -143,13 +152,21 @@ CrashChaosResult RunCrashChaos(int packets, int rate, std::uint64_t seed, bool b
     }
   }
 
+  // Chaos needs slack. At 20% drop+corrupt the slowest of seeds 1..64
+  // needs about 2000 ticks per packet to deliver 64 packets (132000 in
+  // all), so the budget is twice that, with a floor of 120000 ticks for
+  // short streams. Stop early once everything arrived.
   const auto& sink = static_cast<HostSink&>(net.process(topo.pair.host_rx));
-  for (int burst = 0; burst < 60 && sink.packets().size() < baseline.size(); ++burst) {
-    net.Run(2000);  // early exit once everything arrived; chaos needs slack
+  const int bursts = std::max(60, 2 * packets);
+  for (int burst = 0; burst < bursts && sink.packets().size() < baseline.size(); ++burst) {
+    net.Run(2000);
   }
 
   CrashChaosResult result;
-  result.identical = SameStream(sink.packets(), baseline);
+  const std::vector<Frame>& got = sink.packets();
+  result.identical = SameStream(got, baseline);
+  result.delivered = got.size();
+  result.timeout = got.size() < baseline.size() && CommonPrefix(got, baseline) == got.size();
   result.crashes = net.node_status(topo.tunnel.ingress_node).crashes +
                    net.node_status(topo.tunnel.egress_node).crashes;
   for (const Network::NodeRecoveryEvent& event : net.recovery_log()) {
@@ -162,10 +179,15 @@ CrashChaosResult RunCrashChaos(int packets, int rate, std::uint64_t seed, bool b
 
 // Greedy shrink: drop crashes one at a time while the failure persists. The
 // result is 1-minimal — removing any single remaining crash makes the run
-// pass again.
+// pass again. The empty schedule is tried first: the wire chaos alone may
+// already fail the run.
 std::vector<ExplicitCrash> ShrinkSchedule(int packets, int rate, std::uint64_t seed,
                                           bool broken, const std::vector<Frame>& baseline,
                                           std::vector<ExplicitCrash> schedule) {
+  const std::vector<ExplicitCrash> none;
+  if (!RunCrashChaos(packets, rate, seed, broken, &none, baseline).identical) {
+    return none;
+  }
   bool progress = true;
   while (progress && schedule.size() > 1) {
     progress = false;
@@ -216,18 +238,25 @@ int SweepMain(std::uint64_t seed_lo, std::uint64_t seed_hi, int packets, int rat
               static_cast<unsigned long long>(seed_hi), packets, rate,
               broken ? ", ack-commit/resync DISABLED" : "");
 
-  std::uint64_t failed = 0;
+  std::uint64_t failed = 0, timeouts = 0;
   for (std::uint64_t seed = seed_lo; seed <= seed_hi; ++seed) {
     const CrashChaosResult run = RunCrashChaos(packets, rate, seed, broken, nullptr, baseline);
+    std::string verdict = "PASS";
+    if (run.timeout) {
+      verdict = Format("FAIL TIMEOUT (%zu of %zu packets, a correct prefix)", run.delivered,
+                       baseline.size());
+    } else if (!run.identical) {
+      verdict = "FAIL DIVERGENT";
+    }
     std::printf("seed %-8llu crashes %llu (%llu cold)  %s\n",
                 static_cast<unsigned long long>(seed),
                 static_cast<unsigned long long>(run.crashes),
-                static_cast<unsigned long long>(run.cold),
-                run.identical ? "PASS" : "FAIL");
+                static_cast<unsigned long long>(run.cold), verdict.c_str());
     if (run.identical) {
       continue;
     }
     ++failed;
+    timeouts += run.timeout ? 1 : 0;
     // Confirm the failure is reproducible from the performed crashes alone,
     // then shrink to a minimal failing schedule.
     std::vector<ExplicitCrash> schedule = run.performed;
@@ -243,9 +272,10 @@ int SweepMain(std::uint64_t seed_lo, std::uint64_t seed_hi, int packets, int rat
   }
 
   const std::uint64_t total = seed_hi - seed_lo + 1;
-  std::printf("sweep: %llu/%llu seeds passed\n",
+  std::printf("sweep: %llu/%llu seeds passed (%llu timeout, %llu divergent)\n",
               static_cast<unsigned long long>(total - failed),
-              static_cast<unsigned long long>(total));
+              static_cast<unsigned long long>(total), static_cast<unsigned long long>(timeouts),
+              static_cast<unsigned long long>(failed - timeouts));
   return failed == 0 ? 0 : 1;
 }
 

@@ -1,6 +1,6 @@
 // sepcheck: static separability linter for SM-11 guest programs.
 //
-//   sepcheck --all [--json] [--probe] [--jobs N] [--obligations FILE]
+//   sepcheck --all [--json] [--probe] [--obligations FILE]
 //                                                  lint the in-tree catalogue
 //   sepcheck [options] program.s                   lint one assembly file
 //
@@ -19,9 +19,7 @@
 // guests certify (possibly via discharged findings), negative fixtures are
 // flagged. With --probe it additionally runs the machine-level two-run
 // semantic probe on entries that carry one and checks the expected verdict
-// (the EXPERIMENTS.md E14 table). --jobs N analyzes entries on N threads
-// (0 = all hardware threads); output — the findings text and the ledger —
-// stays in catalogue order, byte-identical to a serial run.
+// (the EXPERIMENTS.md E14 table).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -30,7 +28,6 @@
 #include <vector>
 
 #include "src/base/strings.h"
-#include "src/base/thread_pool.h"
 
 #include "src/analysis/finding.h"
 #include "src/base/result.h"
@@ -51,7 +48,7 @@ using sepcheck::RenderObligationsJson;
 using sepcheck::SystemAnalysis;
 
 constexpr char kUsage[] =
-    "usage: sepcheck --all [--json] [--probe] [--jobs N] [--obligations FILE]\n"
+    "usage: sepcheck --all [--json] [--probe] [--obligations FILE]\n"
     "       sepcheck [--words N] [--devices N] [--bare] [--json]\n"
     "                [--obligations FILE] program.s\n";
 
@@ -83,15 +80,6 @@ int DischargedCount(const std::vector<Finding>& findings) {
   return n;
 }
 
-// The outcome of analyzing one catalogue entry, buffered so entries can be
-// analyzed in parallel and still print in catalogue order.
-struct EntryOutcome {
-  std::string out;  // stdout text
-  std::string err;  // stderr text
-  bool ok = false;
-  EntryObligations ledger;
-};
-
 // Writes `text` to `path`; reports and fails loudly on error.
 bool WriteFileOrComplain(const std::string& path, const std::string& text) {
   std::ofstream out(path);
@@ -103,79 +91,65 @@ bool WriteFileOrComplain(const std::string& path, const std::string& text) {
   return true;
 }
 
-EntryOutcome CheckEntry(const CatalogEntry& entry, bool json, bool probe) {
-  EntryOutcome r;
+// Analyzes one catalogue entry, prints its findings and verdict, appends
+// its ledger to `ledgers`, and returns whether it met its expectation.
+bool CheckEntry(const CatalogEntry& entry, bool json, bool probe,
+                std::vector<EntryObligations>& ledgers) {
   Result<SystemAnalysis> analysis = AnalyzeSystem(entry.spec);
   if (!analysis.ok()) {
-    r.err = Format("%s: %s\n", entry.name.c_str(), analysis.error().c_str());
-    return r;
+    std::fprintf(stderr, "%s: %s\n", entry.name.c_str(), analysis.error().c_str());
+    ledgers.emplace_back();
+    return false;
   }
   const int discharged = DischargedCount(analysis->findings);
-  r.ok = analysis->certified == entry.expect_certified &&
-         (!entry.expect_discharged || discharged > 0);
-  r.ledger.entry = entry.name;
-  r.ledger.certified = analysis->certified;
-  r.ledger.obligations = analysis->obligations;
+  bool ok = analysis->certified == entry.expect_certified &&
+            (!entry.expect_discharged || discharged > 0);
+  ledgers.push_back({entry.name, analysis->certified, analysis->obligations});
 
   std::string semantic = "-";
   if (probe && entry.has_probe) {
     Result<bool> leaks =
         MachineSemanticallyLeaks([&] { return BuildEntrySystem(entry); }, entry.probe);
     if (!leaks.ok()) {
-      r.err += Format("%s: probe: %s\n", entry.name.c_str(), leaks.error().c_str());
-      r.ok = false;
+      std::fprintf(stderr, "%s: probe: %s\n", entry.name.c_str(), leaks.error().c_str());
+      ok = false;
     } else {
       semantic = *leaks ? "leaks" : "secure";
-      if (*leaks != entry.probe_expect_leak) r.ok = false;
+      if (*leaks != entry.probe_expect_leak) ok = false;
     }
   }
 
   if (json) {
-    r.out = FormatFindings(analysis->findings, /*json=*/true);
-    r.out += Format(
+    std::fputs(FormatFindings(analysis->findings, /*json=*/true).c_str(), stdout);
+    std::printf(
         "{\"entry\":\"%s\",\"certified\":%s,\"discharged\":%d,"
         "\"semantic\":\"%s\",\"expected\":%s}\n",
         entry.name.c_str(), analysis->certified ? "true" : "false", discharged,
-        semantic.c_str(), r.ok ? "true" : "false");
+        semantic.c_str(), ok ? "true" : "false");
   } else {
-    r.out = Format("== %s: %zu regime(s), %zu channel(s), %s\n", entry.name.c_str(),
-                   entry.spec.regimes.size(), entry.spec.channels.size(),
-                   entry.spec.cut_channels ? "cut" : "uncut");
-    r.out += FormatFindings(analysis->findings, /*json=*/false);
-    r.out += Format("   verdict: %s (%d discharged)%s%s — %s\n",
-                    analysis->certified ? "CERTIFIED" : "FLAGGED", discharged,
-                    probe && entry.has_probe ? ", semantic: " : "",
-                    probe && entry.has_probe ? semantic.c_str() : "",
-                    r.ok ? "as expected" : "UNEXPECTED");
+    std::printf("== %s: %zu regime(s), %zu channel(s), %s\n", entry.name.c_str(),
+                entry.spec.regimes.size(), entry.spec.channels.size(),
+                entry.spec.cut_channels ? "cut" : "uncut");
+    std::fputs(FormatFindings(analysis->findings, /*json=*/false).c_str(), stdout);
+    std::printf("   verdict: %s (%d discharged)%s%s — %s\n",
+                analysis->certified ? "CERTIFIED" : "FLAGGED", discharged,
+                probe && entry.has_probe ? ", semantic: " : "",
+                probe && entry.has_probe ? semantic.c_str() : "",
+                ok ? "as expected" : "UNEXPECTED");
   }
-  return r;
+  return ok;
 }
 
-int RunAll(bool json, bool probe, int jobs, const std::string& obligations_path) {
-  // Materialize the catalogue before fanning out; entry analysis itself is
-  // pure (clone-based machine runs, no shared mutable state).
+int RunAll(bool json, bool probe, const std::string& obligations_path) {
   const std::vector<CatalogEntry>& catalog = Catalog();
-  std::vector<EntryOutcome> outcomes(catalog.size());
-  ThreadPool pool(jobs);
-  pool.ParallelFor(catalog.size(), [&](std::size_t i) {
-    outcomes[i] = CheckEntry(catalog[i], json, probe);
-  });
-
   int failures = 0;
-  for (const EntryOutcome& r : outcomes) {
-    if (!r.err.empty()) std::fputs(r.err.c_str(), stderr);
-    if (!r.out.empty()) std::fputs(r.out.c_str(), stdout);
-    if (!r.ok) ++failures;
+  std::vector<EntryObligations> ledgers;
+  for (const CatalogEntry& entry : catalog) {
+    if (!CheckEntry(entry, json, probe, ledgers)) ++failures;
   }
-  if (!obligations_path.empty()) {
-    // Ledgers are collected in catalogue order, so the document is
-    // byte-identical regardless of --jobs.
-    std::vector<EntryObligations> ledgers;
-    ledgers.reserve(outcomes.size());
-    for (EntryOutcome& r : outcomes) ledgers.push_back(std::move(r.ledger));
-    if (!WriteFileOrComplain(obligations_path, RenderObligationsJson(ledgers))) {
-      return 2;
-    }
+  if (!obligations_path.empty() &&
+      !WriteFileOrComplain(obligations_path, RenderObligationsJson(ledgers))) {
+    return 2;
   }
   if (!json) {
     std::printf("%d of %zu catalogue entries off expectation\n", failures, catalog.size());
@@ -230,7 +204,6 @@ int main(int argc, char** argv) {
   bool bare = false;
   std::uint32_t words = 512;
   int devices = 0;
-  int jobs = 1;
   std::string path;
   std::string obligations_path;
 
@@ -263,13 +236,6 @@ int main(int argc, char** argv) {
         return sep::UsageError("--obligations needs an output file path",
                                obligations_path.c_str());
       }
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      // 0 = all hardware threads (ThreadPool convention).
-      const std::optional<long long> parsed = sep::ParseInt(argv[++i], 0, 4096, 0);
-      if (!parsed.has_value()) {
-        return sep::UsageError("--jobs needs an integer in [0, 4096]", argv[i]);
-      }
-      jobs = static_cast<int>(*parsed);
     } else if (arg == "--help") {
       std::fputs(sep::kUsage, stdout);
       return 0;
@@ -281,7 +247,7 @@ int main(int argc, char** argv) {
   }
 
   if (all) {
-    return sep::RunAll(json, probe, jobs, obligations_path);
+    return sep::RunAll(json, probe, obligations_path);
   }
   if (path.empty()) {
     return sep::Usage();
