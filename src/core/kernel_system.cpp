@@ -123,14 +123,7 @@ bool KernelizedSystem::RestoreFullState(std::span<const Word> state) {
   return machine_->RestoreFull(state);
 }
 
-std::size_t KernelizedSystem::Run(std::size_t max_steps) {
-  std::size_t steps = 0;
-  while (steps < max_steps && !machine_->halted()) {
-    machine_->Step();
-    ++steps;
-  }
-  return steps;
-}
+std::size_t KernelizedSystem::Run(std::size_t max_steps) { return machine_->Run(max_steps); }
 
 // --- SystemBuilder -------------------------------------------------------------
 

@@ -54,7 +54,9 @@ class KernelizedSystem : public SharedSystem {
   const SeparationKernel& kernel() const { return *kernel_; }
 
   // Runs whole machine steps (CPU phase + all devices) until all regimes
-  // halt or `max_steps` is reached; returns steps taken.
+  // halt or `max_steps` is reached; returns steps taken. This is
+  // Machine::Run: regimes execute in batches between kernel entries and
+  // device events, step-for-step identical to repeated Machine::Step().
   std::size_t Run(std::size_t max_steps);
 
  private:

@@ -53,6 +53,22 @@ class Device {
   // One device activity slot. Called by the machine between CPU steps.
   virtual void Step() = 0;
 
+  // Device horizon, which lets Machine::Run execute instructions in batches
+  // between device events. QuietSteps() is how many upcoming activity slots
+  // are guaranteed to raise no interrupt and change no register-visible
+  // state (kQuietForever: none will until the CPU or the environment next
+  // touches the device); SkipSteps(n), for n <= QuietSteps(), applies n
+  // such slots at once and must leave exactly the state n Step() calls
+  // would. The defaults mean "step me every tick", so a device that
+  // overrides neither stays exact.
+  static constexpr std::size_t kQuietForever = static_cast<std::size_t>(-1);
+  virtual std::size_t QuietSteps() const { return 0; }
+  virtual void SkipSteps(std::size_t n) {
+    for (; n > 0; --n) {
+      Step();
+    }
+  }
+
   // Serialization of the complete internal state, queues included. The
   // encoding only needs to be injective per device type.
   virtual std::vector<Word> SnapshotState() const = 0;

@@ -2,6 +2,15 @@
 
 namespace sep {
 
+namespace {
+
+// Slots before a `--countdown <= 0` device fires: all but the firing one.
+std::size_t QuietFor(int countdown) {
+  return countdown > 1 ? static_cast<std::size_t>(countdown - 1) : 0;
+}
+
+}  // namespace
+
 // --- SerialLine ---
 
 SerialLine::SerialLine(std::string name, int vector, int priority, int transmit_delay)
@@ -93,6 +102,19 @@ void SerialLine::Step() {
   }
 }
 
+std::size_t SerialLine::QuietSteps() const {
+  if (!(rcsr_ & kCsrDone) && !rx_from_env_.empty()) {
+    return 0;  // the next slot latches a received word
+  }
+  return (xcsr_ & kCsrDone) ? kQuietForever : QuietFor(tx_countdown_);
+}
+
+void SerialLine::SkipSteps(std::size_t n) {
+  if (!(xcsr_ & kCsrDone)) {
+    tx_countdown_ -= static_cast<int>(n);
+  }
+}
+
 std::vector<Word> SerialLine::SnapshotState() const {
   std::vector<Word> out = {rcsr_, rbuf_, xcsr_, xbuf_, static_cast<Word>(tx_countdown_),
                            static_cast<Word>(interrupt_pending())};
@@ -147,6 +169,10 @@ void LineClock::Step() {
     }
   }
 }
+
+std::size_t LineClock::QuietSteps() const { return QuietFor(countdown_); }
+
+void LineClock::SkipSteps(std::size_t n) { countdown_ -= static_cast<int>(n); }
 
 std::vector<Word> LineClock::SnapshotState() const {
   return {lks_, static_cast<Word>(countdown_), static_cast<Word>(interrupt_pending())};
@@ -213,6 +239,16 @@ void LinePrinter::Step() {
         RaiseInterrupt();
       }
     }
+  }
+}
+
+std::size_t LinePrinter::QuietSteps() const {
+  return (lps_ & kCsrDone) ? kQuietForever : QuietFor(countdown_);
+}
+
+void LinePrinter::SkipSteps(std::size_t n) {
+  if (!(lps_ & kCsrDone)) {
+    countdown_ -= static_cast<int>(n);
   }
 }
 
@@ -307,6 +343,16 @@ void CryptoUnit::Step() {
         RaiseInterrupt();
       }
     }
+  }
+}
+
+std::size_t CryptoUnit::QuietSteps() const {
+  return busy_ ? QuietFor(countdown_) : kQuietForever;
+}
+
+void CryptoUnit::SkipSteps(std::size_t n) {
+  if (busy_) {
+    countdown_ -= static_cast<int>(n);
   }
 }
 

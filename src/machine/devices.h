@@ -42,6 +42,8 @@ class SerialLine : public Device {
   Word ReadRegister(int offset) override;
   void WriteRegister(int offset, Word value) override;
   void Step() override;
+  std::size_t QuietSteps() const override;
+  void SkipSteps(std::size_t n) override;
   std::vector<Word> SnapshotState() const override;
   bool RestoreState(std::span<const Word> state) override;
   void Perturb(Rng& rng) override;
@@ -67,6 +69,8 @@ class LineClock : public Device {
   Word ReadRegister(int offset) override;
   void WriteRegister(int offset, Word value) override;
   void Step() override;
+  std::size_t QuietSteps() const override;
+  void SkipSteps(std::size_t n) override;
   std::vector<Word> SnapshotState() const override;
   bool RestoreState(std::span<const Word> state) override;
   void Perturb(Rng& rng) override;
@@ -92,6 +96,8 @@ class LinePrinter : public Device {
   Word ReadRegister(int offset) override;
   void WriteRegister(int offset, Word value) override;
   void Step() override;
+  std::size_t QuietSteps() const override;
+  void SkipSteps(std::size_t n) override;
   std::vector<Word> SnapshotState() const override;
   bool RestoreState(std::span<const Word> state) override;
   void Perturb(Rng& rng) override;
@@ -125,6 +131,8 @@ class CryptoUnit : public Device {
   Word ReadRegister(int offset) override;
   void WriteRegister(int offset, Word value) override;
   void Step() override;
+  std::size_t QuietSteps() const override;
+  void SkipSteps(std::size_t n) override;
   std::vector<Word> SnapshotState() const override;
   bool RestoreState(std::span<const Word> state) override;
   void Perturb(Rng& rng) override;

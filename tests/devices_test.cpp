@@ -3,8 +3,12 @@
 // contract every device must honour for the checker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/base/rng.h"
 #include "src/machine/devices.h"
+#include "src/machine/faulty_device.h"
 
 namespace sep {
 namespace {
@@ -184,6 +188,115 @@ TEST(DeviceContracts, PerturbedStatesAreValidToStep) {
       crypto.Step();
     }
   }
+}
+
+// --- device horizon (QuietSteps / SkipSteps) --------------------------------
+
+// Everything the CPU can observe through the register window, read on a
+// clone so read side effects (RBUF, CDATA_OUT) stay off `dev`.
+std::vector<Word> RegisterView(const Device& dev) {
+  std::unique_ptr<Device> probe = dev.Clone();
+  std::vector<Word> view;
+  for (int offset = 0; offset < probe->register_count(); ++offset) {
+    view.push_back(probe->ReadRegister(offset));
+  }
+  return view;
+}
+
+// The horizon contract from `dev`'s current state (line lowered, as the
+// machine delivers a raised one before it batches): for every k within
+// QuietSteps() (capped for kQuietForever), SkipSteps(k) leaves exactly the
+// state k Step() calls leave, and those k slots raise no interrupt and
+// change no register-visible state.
+void ExpectHorizonExact(Device& dev, const std::string& what) {
+  dev.ClearInterrupt();
+  const std::size_t quiet = dev.QuietSteps();
+  const std::size_t limit = std::min<std::size_t>(quiet, 200);
+  const std::vector<Word> registers = RegisterView(dev);
+  std::unique_ptr<Device> stepped = dev.Clone();
+  for (std::size_t k = 0; k <= limit; ++k) {
+    if (k > 0) {
+      stepped->Step();
+    }
+    std::unique_ptr<Device> skipped = dev.Clone();
+    skipped->SkipSteps(k);
+    ASSERT_EQ(skipped->SnapshotState(), stepped->SnapshotState()) << what << ", k = " << k;
+    ASSERT_FALSE(stepped->interrupt_pending()) << what << ", k = " << k << " of " << quiet;
+    ASSERT_EQ(RegisterView(*stepped), registers) << what << ", k = " << k << " of " << quiet;
+  }
+}
+
+// Drives a device through Perturb'ed states and, from each, every kind of
+// register write, checking the horizon contract at every state.
+template <typename MakeDevice>
+void CheckHorizon(MakeDevice make) {
+  Rng rng(4242);
+  const Word values[] = {0, kCsrIe, kCsrDone, kCsrDone | kCsrIe, 1, 0x1234, 0xFFFF};
+  std::size_t bounded = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::unique_ptr<Device> base = make();
+    if (trial > 0) {
+      base->Perturb(rng);
+    }
+    ExpectHorizonExact(*base, "trial " + std::to_string(trial));
+    for (int offset = 0; offset < base->register_count(); ++offset) {
+      for (Word value : values) {
+        std::unique_ptr<Device> dev = base->Clone();
+        dev->WriteRegister(offset, value);
+        const std::string what = "trial " + std::to_string(trial) + ", write " +
+                                 std::to_string(value) + " to register " +
+                                 std::to_string(offset);
+        ExpectHorizonExact(*dev, what);
+        // And after a few ordinary slots, wherever they left the device.
+        for (int i = 0; i < 3; ++i) {
+          dev->Step();
+        }
+        ExpectHorizonExact(*dev, what + ", 3 slots later");
+        bounded += dev->QuietSteps() != Device::kQuietForever ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(bounded, 0u) << "no state with a finite horizon was exercised";
+}
+
+TEST(DeviceHorizon, SerialLine) {
+  CheckHorizon([] { return std::make_unique<SerialLine>("s", 16, 4, 5); });
+}
+TEST(DeviceHorizon, LineClock) {
+  CheckHorizon([] { return std::make_unique<LineClock>("c", 18, 5, 9); });
+}
+TEST(DeviceHorizon, LinePrinter) {
+  CheckHorizon([] { return std::make_unique<LinePrinter>("p", 20, 3, 6); });
+}
+TEST(DeviceHorizon, CryptoUnit) {
+  CheckHorizon([] { return std::make_unique<CryptoUnit>("x", 22, 4, 5, 7); });
+}
+
+// A device that overrides neither horizon method is stepped every tick.
+class PlainDevice : public Device {
+ public:
+  PlainDevice() : Device("plain", 30, 4, 1) {}
+  std::unique_ptr<Device> Clone() const override { return std::make_unique<PlainDevice>(*this); }
+  Word ReadRegister(int) override { return static_cast<Word>(steps_); }
+  void WriteRegister(int, Word) override {}
+  void Step() override { ++steps_; }
+  std::vector<Word> SnapshotState() const override { return {static_cast<Word>(steps_)}; }
+
+ private:
+  int steps_ = 0;
+};
+
+TEST(DeviceHorizon, DefaultsStepEveryTick) {
+  PlainDevice plain;
+  EXPECT_EQ(plain.QuietSteps(), 0u);
+  plain.SkipSteps(5);  // the default is five Step() calls
+  EXPECT_EQ(plain.SnapshotState(), std::vector<Word>{5});
+
+  // FaultyDevice's schedule is outside any countdown: no horizon, even
+  // around an inner device that has one.
+  FaultyDevice faulty(std::make_unique<LineClock>("c", 18, 5, 100), DeviceFaultSpec{}, 1);
+  EXPECT_GT(faulty.inner().QuietSteps(), 0u);
+  EXPECT_EQ(faulty.QuietSteps(), 0u);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 
 #include "src/machine/machine.h"
 #include "src/sm11asm/assembler.h"
+#include "tests/kernelized_lockstep.h"
 #include "tests/test_util.h"
 
 namespace sep {
@@ -268,6 +270,29 @@ TEST(PredecodeInvalidation, DisableClearsCache) {
   (void)m->Run(10);
   EXPECT_GT(m->predecode_misses(), misses_warm);  // cold again
 }
+
+// Kernelized lockstep gate (tests/kernelized_lockstep.h) with the predecode
+// cache on and off: with it off every batch runs on RunStepped, the
+// ExecuteCpuT<true> loop, so both batch bodies are held to Step().
+class KernelizedPredecodeLockstep
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(KernelizedPredecodeLockstep, RunChunksMatchStep) {
+  const auto [index, predecode] = GetParam();
+  lockstep::ExpectKernelizedLockstep(lockstep::Deployments()[static_cast<std::size_t>(index)],
+                                     {predecode, /*superblock=*/true});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Deployments, KernelizedPredecodeLockstep,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(lockstep::Deployments().size())),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      return std::string(lockstep::Deployments()[static_cast<std::size_t>(
+                             std::get<0>(info.param))]
+                             .name) +
+             (std::get<1>(info.param) ? "_PredecodeOn" : "_PredecodeOff");
+    });
 
 using PredecodeDeathTest = ::testing::Test;
 

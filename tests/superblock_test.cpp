@@ -1,16 +1,19 @@
 // Superblocks must be invisible: batched Run with superblocks on is
 // bit-identical to Run with them off and to repeated Step(), across traps,
-// interrupts, self-modifying code, MMU remaps and restore-from-snapshot.
-// These tests drive a superblock machine through Run() (the only path that
-// builds or executes traces) against Step()-driven references with the
-// predecode cache off, comparing complete state hashes.
+// interrupts, self-modifying code, MMU remaps and restore-from-snapshot,
+// on bare machines and under the separation kernel. These tests drive a
+// superblock machine through Run() (the only path that builds or executes
+// traces) against Step()-driven references with the predecode cache off,
+// comparing complete state hashes.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 
 #include "src/machine/devices.h"
 #include "src/machine/machine.h"
 #include "src/sm11asm/assembler.h"
+#include "tests/kernelized_lockstep.h"
 #include "tests/test_util.h"
 
 namespace sep {
@@ -295,10 +298,10 @@ ODD:    CMP #300, R0
   EXPECT_GE(fast->superblock_side_exits(), 1u);
 }
 
-// Interrupt sweep: with a device attached Run() degrades to the stepping
-// loop, so superblocks never execute — but the flag must still be inert.
-// Drives clock-interrupt vectoring with superblocks on, off, and predecode
-// off, in lockstep.
+// Interrupt sweep on a bare machine with a device: Step() never executes
+// superblocks, so the flag must be inert there. Drives clock-interrupt
+// vectoring with superblocks on, off, and predecode off, in lockstep; the
+// Run() side of the same machine is InterruptVectoringUnderRun below.
 TEST(SuperblockParity, InterruptVectoringSweep) {
   auto make = [](bool predecode, bool superblock) {
     auto m = MakeBareMachine();
@@ -327,6 +330,37 @@ TEST(SuperblockParity, InterruptVectoringSweep) {
     ASSERT_EQ(sb_off->StateHash(), ref->StateHash()) << "sb-off diverged at step " << i;
   }
   EXPECT_GT(ref->cpu().regs[4], 0);  // interrupts actually delivered
+}
+
+// The same clock-vectoring machine under Run(): batches run between clock
+// ticks on the threaded engine (hardware vectoring, no client), so traces
+// are built and entered between interrupts.
+TEST(SuperblockParity, InterruptVectoringUnderRun) {
+  auto make = [](bool predecode) {
+    auto m = MakeBareMachine(1u << 12);  // small: the parity check hashes every chunk
+    m->set_predecode_enabled(predecode);
+    m->AddDevice(std::make_unique<LineClock>("clk", 20, /*priority=*/6, /*interval=*/50));
+    Result<AssembledProgram> p = Assemble(
+        "LOOP: INC R0\n      ADD R0, R1\n      BR LOOP\n      .ORG 0x80\nISR:  INC R4\n"
+        "      RTI\n");
+    EXPECT_TRUE(p.ok());
+    m->memory().LoadImage(0, p->words);
+    m->memory().Write(20, 0x80);  // clock vector: ISR PC
+    m->memory().Write(21, 0);     // ISR PSW
+    m->cpu().set_pc(0);
+    m->cpu().set_sp(0x1000);
+    m->device(0).WriteRegister(0, kCsrIe);
+    return m;
+  };
+  for (std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{1000}}) {
+    auto fast = make(true);
+    auto ref = make(false);
+    ExpectChunkedRunParity(*fast, *ref, chunk, 3000);
+    EXPECT_GT(ref->cpu().regs[4], 0) << "chunk " << chunk;  // interrupts delivered
+    if (chunk == 1000) {
+      EXPECT_GE(fast->superblock_builds(), 1u);
+    }
+  }
 }
 
 TEST(SuperblockFlag, DisableTearsDownEnableRebuilds) {
@@ -366,6 +400,29 @@ TEST(SuperblockFlag, PredecodeDisableFlushesSuperblocks) {
   (void)m->Run(200);
   EXPECT_GT(m->superblock_builds(), builds);
 }
+
+// Kernelized lockstep gate (tests/kernelized_lockstep.h) with superblocks
+// on and off: every deployment through KernelizedSystem::Run in chunks of
+// 1..4096 steps against a Machine::Step() loop.
+class KernelizedSuperblockLockstep
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(KernelizedSuperblockLockstep, RunChunksMatchStep) {
+  const auto [index, superblock] = GetParam();
+  lockstep::ExpectKernelizedLockstep(lockstep::Deployments()[static_cast<std::size_t>(index)],
+                                     {/*predecode=*/true, superblock});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Deployments, KernelizedSuperblockLockstep,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(lockstep::Deployments().size())),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      return std::string(lockstep::Deployments()[static_cast<std::size_t>(
+                             std::get<0>(info.param))]
+                             .name) +
+             (std::get<1>(info.param) ? "_SuperblockOn" : "_SuperblockOff");
+    });
 
 }  // namespace
 }  // namespace sep

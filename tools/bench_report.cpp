@@ -86,7 +86,12 @@ std::map<std::string, double> ParseBenchField(const std::string& json, const std
     if (open == std::string::npos) break;
     const std::size_t close = json.find('"', open + 1);
     if (close == std::string::npos) break;
-    const std::string name = json.substr(open + 1, close - open - 1);
+    std::string name = json.substr(open + 1, close - open - 1);
+    // UseRealTime() benchmarks (the checker ones) report as "NAME/real_time".
+    const std::string real_time = "/real_time";
+    if (name.size() > real_time.size() && name.ends_with(real_time)) {
+      name.resize(name.size() - real_time.size());
+    }
     const std::size_t next_name = json.find("\"name\":", close);
     const std::size_t value = json.find(needle, close);
     pos = close;
@@ -245,6 +250,7 @@ int main(int argc, char** argv) {
   const double chan_classic = Metric(m4, "BM_ChannelClassicWords");
   const double chan_batched = Metric(m4, "BM_ChannelBatchedWords");
   const double chan_ring = Metric(m4, "BM_ChannelSharedRingWords");
+  const double chan_ring_nosb = Metric(m4, "BM_ChannelSharedRingWordsNoSuperblock");
   const double chan_xnode_plain = Metric(m4, "BM_ChannelTunnelPlainWords");
   const double chan_xnode_batched = Metric(m4, "BM_ChannelTunnelBatchedWords");
 
@@ -293,12 +299,20 @@ int main(int argc, char** argv) {
   // one-word-per-trap baseline (guarded): a SENDV/RECVV batch amortizes the
   // kernel-call slow path over up to 64 words and the shared ring adds
   // zero-copy publication on top, so both ratios are design claims that hold
-  // on any host. Design floor for channel_batch_speedup is 8x.
+  // on any host. Design floor for channel_batch_speedup is 8x; since
+  // Machine::Run batches kernelized guests, single runs on a 4-thread host
+  // measure 7.2-12.8 (8.85 in BENCH_15.json), some below that floor.
   metrics["channel_classic_wps"] = chan_classic;
   metrics["channel_batched_wps"] = chan_batched;
   metrics["channel_ring_wps"] = chan_ring;
   metrics["channel_batch_speedup"] = chan_batched / chan_classic;
   metrics["channel_ring_speedup"] = chan_ring / chan_classic;
+  // The same shared-ring pair with superblocks on vs off: what the trace
+  // compiler adds to a kernelized workload now that regimes run on the
+  // threaded engine between kernel entries. Recorded, not guarded — it is
+  // the evidence for ROADMAP's keep-or-delete rule for superblocks.
+  metrics["channel_ring_nosb_wps"] = chan_ring_nosb;
+  metrics["kernelized_superblock_speedup"] = chan_ring / chan_ring_nosb;
   // Cross-node words/second through the reliable tunnel. The network
   // simulation is tick-deterministic, so the plain-vs-Batched() ratio is a
   // pure framing property (segment size x window depth), exactly stable
