@@ -623,9 +623,9 @@ CpuEvent ExecutePredecodedT(CpuState& state, BusT& bus, const DecodedInsn& insn,
 // commit ordering rather than by a throwaway copy.
 //
 // DirectStepT<BusT, kOp> is the per-opcode core. The opcode is a template
-// parameter so the machine's threaded Run loop can dispatch each predecoded
-// opcode to its own handler (its own branch-predictor site) with the flag
-// algebra constant-folded. PC and PSW are passed as plain locals the caller
+// parameter so the machine's threaded engine (RunThreaded) can dispatch each
+// predecoded opcode to its own handler (its own branch-predictor site) with
+// the flag algebra constant-folded. PC and PSW are passed as plain locals the caller
 // keeps in registers; `regs` points at the architectural register file.
 // regs[kPc] is never read or written here: any operand addressed through
 // the PC register bails out (return false) before any bus access, because
@@ -870,66 +870,6 @@ __attribute__((always_inline)) inline bool DirectStepT(Word* regs, Psw& psw, Wor
     pc = pc_next;
     return true;
   }
-}
-
-// Runtime-opcode front end over DirectStepT for single-step callers
-// (StepCpuPhase). Returns false for HALT/WAIT/RTI/RTS/TRAP/JMP/JSR and
-// anything unrecognised: the generic path owns mode checks, stack traffic
-// and control transfer.
-template <typename BusT>
-__attribute__((always_inline)) inline bool ExecutePredecodedDirectT(
-    CpuState& state, BusT& bus, const DecodedInsn& insn, const Word* ext, CpuEvent* event) {
-  Word pc = state.pc();
-  Psw psw = state.psw;
-  Word* const regs = state.regs.data();
-  bool handled;
-  switch (insn.opcode) {
-#define SEP_DIRECT_CASE(OP)                                                             \
-  case Opcode::OP:                                                                      \
-    handled = DirectStepT<BusT, Opcode::OP>(regs, psw, pc, bus, insn, ext, event);      \
-    break;
-    SEP_DIRECT_CASE(kNop)
-    SEP_DIRECT_CASE(kBr)
-    SEP_DIRECT_CASE(kBeq)
-    SEP_DIRECT_CASE(kBne)
-    SEP_DIRECT_CASE(kBmi)
-    SEP_DIRECT_CASE(kBpl)
-    SEP_DIRECT_CASE(kBcs)
-    SEP_DIRECT_CASE(kBcc)
-    SEP_DIRECT_CASE(kBvs)
-    SEP_DIRECT_CASE(kBvc)
-    SEP_DIRECT_CASE(kBlt)
-    SEP_DIRECT_CASE(kBge)
-    SEP_DIRECT_CASE(kBgt)
-    SEP_DIRECT_CASE(kBle)
-    SEP_DIRECT_CASE(kMov)
-    SEP_DIRECT_CASE(kAdd)
-    SEP_DIRECT_CASE(kSub)
-    SEP_DIRECT_CASE(kCmp)
-    SEP_DIRECT_CASE(kBit)
-    SEP_DIRECT_CASE(kBic)
-    SEP_DIRECT_CASE(kBis)
-    SEP_DIRECT_CASE(kXor)
-    SEP_DIRECT_CASE(kClr)
-    SEP_DIRECT_CASE(kInc)
-    SEP_DIRECT_CASE(kDec)
-    SEP_DIRECT_CASE(kNeg)
-    SEP_DIRECT_CASE(kCom)
-    SEP_DIRECT_CASE(kTst)
-    SEP_DIRECT_CASE(kAsr)
-    SEP_DIRECT_CASE(kAsl)
-#undef SEP_DIRECT_CASE
-    default:
-      return false;
-  }
-  if (!handled) {
-    return false;
-  }
-  // On a fault DirectStepT left pc/psw untouched, so this commit is the
-  // identity; on success it retires the instruction.
-  state.psw = psw;
-  state.set_pc(pc);
-  return true;
 }
 
 }  // namespace interp

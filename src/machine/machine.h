@@ -81,10 +81,11 @@ class MachineClient {
   // calls into the machine. Step() and StepCpuPhase() ask every phase;
   // Machine::Run asks at entry and after every event it applies (each
   // tick it steps singly, and each trap, halt or wait that ends a batch)
-  // and nowhere else, and runs the instructions in between as batches. The separation kernel keeps it: its deferred work
-  // (resume-from-AWAIT, pending vectors, the in-handler flag) is written
-  // only inside its own callbacks, its partition is never mapped in user
-  // mode, and regimes never run privileged.
+  // and nowhere else, and runs the instructions in between as batches.
+  // The separation kernel keeps it: its deferred work (resume-from-AWAIT,
+  // pending vectors, the in-handler flag) is written only inside its own
+  // callbacks, its partition is never mapped in user mode, and regimes
+  // never run privileged.
   virtual bool OnBeforeExecute() { return false; }
 };
 
@@ -189,7 +190,10 @@ class Machine {
   // PhysicalMemory page versions (self-modifying code) and the current MMU
   // mapping (remaps) on every step, so traces are identical with the cache
   // on or off; see docs/PERFORMANCE.md for the invalidation protocol. The
-  // cache is derived state: it is not cloned, hashed, or snapshotted.
+  // cache is derived state: it is not cloned, hashed, or snapshotted. With
+  // it on, every instruction runs on the threaded engine (RunThreaded);
+  // with it off, on the generic interpreter alone (RunStepped), the
+  // reference the tests hold the threaded engine to.
 
   void set_predecode_enabled(bool enabled);
   bool predecode_enabled() const { return predecode_enabled_; }
@@ -328,7 +332,9 @@ class Machine {
   void DispatchTrap(const TrapInfo& info);
 
   // StepCpuPhase once the client has declined deferred work: interrupt
-  // delivery, an idle tick, or one instruction. Run's per-tick path.
+  // delivery, an idle tick, or one instruction. Run's per-tick path. The
+  // instruction is a one-instruction batch on the engine the predecode
+  // switch selects (RunBatch), with device-register accesses performed.
   StepEvent DeliverOrExecute();
 
   // Device phases for Run's batches. StepDevicePhases runs one phase of
@@ -344,30 +350,15 @@ class Machine {
   // and renders it as a step event.
   StepEvent ApplyCpuEvent(const CpuEvent& cpu_event);
 
-  // Executes one instruction through the predecode cache, falling back to
-  // the generic fetch-decode-execute path whenever the fast-path
-  // preconditions do not hold (cache disabled, fetch would fault or touch
-  // device space, instruction crosses a page, invalid opcode). Cache misses
-  // and every fallback are out-of-line in ExecuteCpuMiss / the generic
-  // interpreter.
-  //
-  // `st` is the architectural register state the instruction executes
-  // against. The per-tick path (DeliverOrExecute) passes cpu_ itself
-  // (kLocalState = false). RunStepped instead keeps a function-local copy
-  // whose address never escapes — so the compiler can prove guest memory
-  // stores do not alias it and keep PC/PSW live across iterations — and
-  // kLocalState = true brackets every out-of-line slow path with a cpu_
-  // commit/reload.
-  // Forced inline: if this stayed out of line, &st would escape into the
-  // call and the aliasing argument above would not hold.
-  template <bool kLocalState>
-  __attribute__((always_inline)) CpuEvent ExecuteCpuT(MachineBus& bus, CpuState& st);
+  // Predecode-cache miss (or stale entry) inside RunThreaded: decodes from
+  // memory, refills `entry` and executes the instruction, or leaves it
+  // uncached and runs the generic interpreter when it cannot be cached.
   CpuEvent ExecuteCpuMiss(MachineBus& bus, PredecodedInsn& entry, PhysAddr phys,
                           std::uint32_t offset, std::uint32_t limit);
 
-  // How a Run batch ended: `steps` instructions retired. A non-kOk `event`
-  // was raised by the last of them and is not yet applied; `refused` means
-  // the batch stopped before an instruction that accesses a device register,
+  // How a batch ended: `steps` instructions retired. A non-kOk `event` was
+  // raised by the last of them and is not yet applied; `refused` means the
+  // batch stopped before an instruction that accesses a device register,
   // which is left unexecuted for Run to replay.
   struct BatchEnd {
     std::size_t steps = 0;
@@ -375,15 +366,26 @@ class Machine {
     bool refused = false;
   };
 
-  // Run's batch bodies. Each executes up to `max_steps` instructions on a
-  // bus that refuses device-register access, with no interrupt polling, no
+  // The two batch bodies, i.e. the machine's two execution tiers. Each
+  // executes up to `max_steps` instructions with no interrupt polling, no
   // client consult and no device phase, and never touches tick_.
-  // RunThreaded is the direct-threaded engine with superblocks: every
-  // predecoded opcode dispatches to its own handler (own indirect-branch
-  // site) and PC/PSW live in locals across steps. RunStepped is the
-  // ExecuteCpuT<true> loop, used when predecode is off.
-  BatchEnd RunThreaded(std::size_t max_steps);
-  BatchEnd RunStepped(std::size_t max_steps);
+  //   * RunThreaded is the direct-threaded engine with superblocks: every
+  //     predecoded opcode dispatches to its own handler (own indirect-branch
+  //     site) and PC/PSW live in locals across steps.
+  //   * RunStepped is the generic interpreter (interp::ExecuteOneT) in a
+  //     loop, with no cache of any kind: the caches-off oracle the other
+  //     tier is tested against.
+  // With `refuse_io` (Run's batches, where the devices lag behind the CPU)
+  // the bus refuses device-register access. Without it (the per-tick step)
+  // the access is performed; it can raise an interrupt line the next tick
+  // must poll, so such a batch is exactly one instruction.
+  // RunBatch picks the body on predecode_enabled_.
+  BatchEnd RunThreaded(std::size_t max_steps, bool refuse_io);
+  BatchEnd RunStepped(std::size_t max_steps, bool refuse_io);
+  BatchEnd RunBatch(std::size_t max_steps, bool refuse_io) {
+    return predecode_enabled_ ? RunThreaded(max_steps, refuse_io)
+                              : RunStepped(max_steps, refuse_io);
+  }
 
   // Statically walks the predicted path from `entry_pc` (a hot taken-branch
   // target) through the live mapping and memory, and installs a superblock

@@ -272,8 +272,9 @@ TEST(PredecodeInvalidation, DisableClearsCache) {
 }
 
 // Kernelized lockstep gate (tests/kernelized_lockstep.h) with the predecode
-// cache on and off: with it off every batch runs on RunStepped, the
-// ExecuteCpuT<true> loop, so both batch bodies are held to Step().
+// cache on and off: on, Step() and every batch run on RunThreaded; off, on
+// RunStepped, the generic interpreter loop. Both tiers are held to the
+// predecode-off Step() reference.
 class KernelizedPredecodeLockstep
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 

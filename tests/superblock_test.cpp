@@ -402,8 +402,9 @@ TEST(SuperblockFlag, PredecodeDisableFlushesSuperblocks) {
 }
 
 // Kernelized lockstep gate (tests/kernelized_lockstep.h) with superblocks
-// on and off: every deployment through KernelizedSystem::Run in chunks of
-// 1..4096 steps against a Machine::Step() loop.
+// on and off: every deployment by a Step() loop and through
+// KernelizedSystem::Run in chunks of 1..4096 steps against a predecode-off
+// Machine::Step() loop.
 class KernelizedSuperblockLockstep
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
