@@ -6,6 +6,14 @@ namespace sep {
 
 namespace {
 
+// SIMPL integers are 64-bit two's complement, and +, -, * and unary minus
+// wrap: they are computed in uint64_t, where overflow is defined, so
+// INT64_MAX + 1 is INT64_MIN and -INT64_MIN is INT64_MIN. Division
+// truncates toward zero; its one overflowing case, INT64_MIN / -1, wraps to
+// INT64_MIN, and INT64_MIN % -1 is 0.
+std::int64_t Wrap(std::uint64_t v) { return static_cast<std::int64_t>(v); }
+std::uint64_t Bits(std::int64_t v) { return static_cast<std::uint64_t>(v); }
+
 class Interp {
  public:
   Interp(const Program& program, SimplEnv env, const InterpOptions& options)
@@ -33,7 +41,7 @@ class Interp {
         if (!v.ok()) {
           return v;
         }
-        return expr.un_op == UnOp::kNeg ? -*v : static_cast<std::int64_t>(*v == 0);
+        return expr.un_op == UnOp::kNeg ? Wrap(0 - Bits(*v)) : static_cast<std::int64_t>(*v == 0);
       }
       case Expr::Kind::kBinary: {
         Result<std::int64_t> l = Eval(*expr.lhs);
@@ -46,21 +54,21 @@ class Interp {
         }
         switch (expr.bin_op) {
           case BinOp::kAdd:
-            return *l + *r;
+            return Wrap(Bits(*l) + Bits(*r));
           case BinOp::kSub:
-            return *l - *r;
+            return Wrap(Bits(*l) - Bits(*r));
           case BinOp::kMul:
-            return *l * *r;
+            return Wrap(Bits(*l) * Bits(*r));
           case BinOp::kDiv:
             if (*r == 0) {
               return Err(Format("line %d: division by zero", expr.line));
             }
-            return *l / *r;
+            return *r == -1 ? Wrap(0 - Bits(*l)) : *l / *r;
           case BinOp::kMod:
             if (*r == 0) {
               return Err(Format("line %d: modulo by zero", expr.line));
             }
-            return *l % *r;
+            return *r == -1 ? 0 : *l % *r;
           case BinOp::kEq:
             return static_cast<std::int64_t>(*l == *r);
           case BinOp::kNe:

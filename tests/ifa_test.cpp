@@ -3,6 +3,10 @@
 // two-run test — and Proof of Separability on the real kernel — accept it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "src/ifa/analyzer.h"
 #include "src/ifa/interpreter.h"
 #include "src/ifa/kernel_programs.h"
@@ -93,6 +97,54 @@ TEST(SimplInterp, RunawayLoopBounded) {
   auto p = MustParse("var x : LOW; while 1 == 1 { x := x + 1; }");
   ASSERT_NE(p, nullptr);
   EXPECT_FALSE(RunSimpl(*p, {}).ok());
+}
+
+// SIMPL arithmetic is 64-bit two's complement and wraps; each case sits on
+// the boundary where a native int64_t operation would overflow.
+std::int64_t EvalSimpl(const std::string& expr, std::int64_t a, std::int64_t b) {
+  auto p = MustParse("var a : LOW; var b : LOW; var x : LOW; x := " + expr + ";");
+  EXPECT_NE(p, nullptr);
+  if (p == nullptr) {
+    return 0;
+  }
+  Result<SimplEnv> env = RunSimpl(*p, {{"a", a}, {"b", b}});
+  EXPECT_TRUE(env.ok()) << env.error();
+  return env.ok() ? (*env)["x"] : 0;
+}
+
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+
+TEST(SimplArithmetic, AddWraps) {
+  EXPECT_EQ(EvalSimpl("a + b", kMax, 1), kMin);
+  EXPECT_EQ(EvalSimpl("a + b", kMin, -1), kMax);
+}
+
+TEST(SimplArithmetic, SubtractWraps) {
+  EXPECT_EQ(EvalSimpl("a - b", kMin, 1), kMax);
+  EXPECT_EQ(EvalSimpl("a - b", kMax, -1), kMin);
+}
+
+TEST(SimplArithmetic, MultiplyWraps) {
+  EXPECT_EQ(EvalSimpl("a * b", kMax, 2), -2);
+  EXPECT_EQ(EvalSimpl("a * b", kMin, -1), kMin);
+  EXPECT_EQ(EvalSimpl("a * b", std::int64_t{1} << 32, std::int64_t{1} << 32), 0);
+}
+
+TEST(SimplArithmetic, UnaryMinusWraps) {
+  EXPECT_EQ(EvalSimpl("-a", kMin, 0), kMin);
+  EXPECT_EQ(EvalSimpl("-a", kMax, 0), kMin + 1);
+}
+
+TEST(SimplArithmetic, DivideMinByMinusOneWraps) {
+  EXPECT_EQ(EvalSimpl("a / b", kMin, -1), kMin);
+  EXPECT_EQ(EvalSimpl("a / b", kMax, -1), -kMax);
+  EXPECT_EQ(EvalSimpl("a / b", -7, 2), -3);  // truncates toward zero
+}
+
+TEST(SimplArithmetic, ModuloMinByMinusOneIsZero) {
+  EXPECT_EQ(EvalSimpl("a % b", kMin, -1), 0);
+  EXPECT_EQ(EvalSimpl("a % b", -7, 2), -1);  // sign of the dividend
 }
 
 TEST(FlowAnalysis, CertifiesCleanPrograms) {
