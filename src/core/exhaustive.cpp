@@ -312,6 +312,9 @@ class ExhaustiveRun {
     if (report_.complete || canon_to_packed_.size() <= options_.max_states) {
       CheckPairs();
     }
+    if (report_.pairs_skipped != 0) {
+      report_.complete = false;
+    }
 
     report_.states_explored = canon_to_packed_.size();
     report_.peak_state_bytes = store_->bytes();
@@ -639,6 +642,7 @@ class ExhaustiveRun {
     std::vector<int> order(n);
     state_colours_.assign(n, kColourNone);
     std::vector<PairTask> tasks;
+    std::vector<std::pair<std::size_t, std::size_t>> capped;
     std::vector<PairOutcome> wave(kPairWave);
 
     for (int c = 0; c < colours_ && !Done(); ++c) {
@@ -659,7 +663,8 @@ class ExhaustiveRun {
 
       // Enumerate pairs in canonical order: groups by ascending Φ key,
       // members by ascending state id, pairs lexicographically within a
-      // group, capped per group.
+      // group, capped per group. `capped` records each group the cap cut:
+      // the end of its tasks and the pairs it lost.
       for (std::size_t i = 0; i < n; ++i) {
         order[i] = static_cast<int>(i);
       }
@@ -671,6 +676,7 @@ class ExhaustiveRun {
       });
 
       tasks.clear();
+      capped.clear();
       for (std::size_t begin = 0; begin < n;) {
         std::size_t end = begin + 1;
         while (end < n && phis[static_cast<std::size_t>(order[end])] ==
@@ -686,9 +692,14 @@ class ExhaustiveRun {
             tasks.push_back({order[a], order[b]});
           }
         }
+        const std::size_t group_pairs = (end - begin) * (end - begin - 1) / 2;
+        if (group_pairs > options_.max_pairs_per_group) {
+          capped.push_back({tasks.size(), group_pairs - options_.max_pairs_per_group});
+        }
         begin = end;
       }
 
+      const std::size_t checked_before = report_.pairs_checked;
       for (std::size_t base = 0; base < tasks.size() && !Done(); base += kPairWave) {
         const std::size_t count = std::min(kPairWave, tasks.size() - base);
         pool_.ParallelFor(count, [&](std::size_t i) {
@@ -702,6 +713,14 @@ class ExhaustiveRun {
           for (const Violation& v : wave[i].fails) {
             CountViolation(v);
           }
+        }
+      }
+      // A run that stops at max_violations counts the pairs cut from the
+      // groups it finished, not from those it never reached.
+      const std::size_t checked = report_.pairs_checked - checked_before;
+      for (const auto& [tasks_end, cut] : capped) {
+        if (tasks_end <= checked) {
+          report_.pairs_skipped += cut;
         }
       }
     }
@@ -726,8 +745,12 @@ class ExhaustiveRun {
 }  // namespace
 
 std::string ExhaustiveReport::Summary() const {
-  std::string out = Format("%zu states, %zu transitions, %zu pairs, %s: ", states_explored,
-                           transitions, pairs_checked, complete ? "COMPLETE" : "partial");
+  std::string out =
+      Format("%zu states, %zu transitions, %zu pairs", states_explored, transitions, pairs_checked);
+  if (pairs_skipped != 0) {
+    out += Format(" (%zu skipped by the pair cap)", pairs_skipped);
+  }
+  out += complete ? ", COMPLETE: " : ", partial: ";
   for (int cond = 1; cond <= 6; ++cond) {
     const ConditionStats& s = conditions[static_cast<std::size_t>(cond)];
     out += Format("C%d %llu/%llu ", cond, static_cast<unsigned long long>(s.violations),

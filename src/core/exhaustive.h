@@ -9,13 +9,15 @@
 //      every unit activity;
 //   2. check conditions (2) and (4) on every transition;
 //   3. group reachable states by (COLOUR, Φ^c) and check conditions (1),
-//      (3), (5) and (6) on EVERY pair within each group.
+//      (3), (5) and (6) on every pair within each group, up to
+//      `max_pairs_per_group` pairs per group.
 //
 // A report with `complete == true` is a genuine finite-model proof of the
 // six conditions over the reachable space — the closest executable
-// analogue of the theorem the paper envisages. Systems that exceed the
-// state budget get `complete == false` (the partial result is still sound:
-// any violation found is real).
+// analogue of the theorem the paper envisages. A run that exceeds the
+// state budget, or whose pair cap skips any Φ-equal pair, gets
+// `complete == false` (the partial result is still sound: any violation
+// found is real), and `pairs_skipped` counts the pairs the cap left out.
 //
 // Exploration is a level-synchronous BFS: each level is expanded in
 // fixed-size slices on a thread pool and merged by one thread in canonical
@@ -46,8 +48,8 @@ struct ExhaustiveOptions {
   // The environment alphabet: inputs 1..inputs_per_unit are injected into
   // each unit (plus the implicit "no input").
   int inputs_per_unit = 2;
-  // Cap on Φ-group pair checks (groups are usually tiny; this guards
-  // against quadratic blowup on degenerate abstractions).
+  // Cap on Φ-group pair checks (this guards against quadratic blowup on
+  // large groups). A run where it binds is not complete.
   std::size_t max_pairs_per_group = 4096;
   int max_violations = 16;
   // Worker threads for expansion and pair checking (0 = all hardware
@@ -63,6 +65,9 @@ struct ExhaustiveReport {
   std::size_t states_explored = 0;
   std::size_t transitions = 0;
   std::size_t pairs_checked = 0;
+  // Φ-equal pairs the per-group cap left unchecked; nonzero makes the run
+  // incomplete.
+  std::size_t pairs_skipped = 0;
   bool complete = false;
   std::array<ConditionStats, 7> conditions{};
   std::vector<Violation> violations;

@@ -3,6 +3,10 @@
 // executable analogue of the paper's proof obligation.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
+#include <string>
+
 #include "src/core/exhaustive.h"
 #include "src/model/toy_systems.h"
 
@@ -11,16 +15,35 @@ namespace {
 
 using TinySystem = TinyTwoUserSystem;
 
+// No pair cap: every Φ-equal pair is checked, so a run can be complete.
+ExhaustiveOptions Uncapped() {
+  ExhaustiveOptions options;
+  options.max_pairs_per_group = std::numeric_limits<std::size_t>::max();
+  return options;
+}
+
 TEST(Exhaustive, SecureTinySystemProvenSeparable) {
-  ExhaustiveReport report = CheckSeparabilityExhaustive(TinySystem(false));
+  ExhaustiveReport report = CheckSeparabilityExhaustive(TinySystem(false), Uncapped());
   EXPECT_TRUE(report.complete) << report.Summary();
   EXPECT_TRUE(report.Passed()) << report.Summary();
   // The whole space really was covered and all condition families checked.
   EXPECT_GT(report.states_explored, 100u);
-  EXPECT_GT(report.pairs_checked, 100u);
+  EXPECT_EQ(report.pairs_checked, 398664u);
+  EXPECT_EQ(report.pairs_skipped, 0u);
   for (int c : {1, 2, 3, 4, 5, 6}) {
     EXPECT_GT(report.conditions[static_cast<std::size_t>(c)].checks, 0u) << "C" << c;
   }
+}
+
+// The default cap of 4096 pairs per Φ-group binds on the secure tiny
+// system: the run finds no violation but has not checked every Φ-equal
+// pair, so it is no proof and must not say COMPLETE.
+TEST(Exhaustive, PairCapThatBindsIsNotComplete) {
+  ExhaustiveReport report = CheckSeparabilityExhaustive(TinySystem(false));
+  EXPECT_TRUE(report.Passed()) << report.Summary();
+  EXPECT_FALSE(report.complete) << report.Summary();
+  EXPECT_EQ(report.Summary().find("COMPLETE"), std::string::npos) << report.Summary();
+  EXPECT_EQ(report.pairs_checked + report.pairs_skipped, 398664u);
 }
 
 TEST(Exhaustive, LeakyTinySystemRefutedWithCounterexample) {
@@ -74,6 +97,7 @@ void ExpectIdenticalReports(const ExhaustiveReport& serial, const ExhaustiveRepo
   EXPECT_EQ(serial.states_explored, parallel.states_explored);
   EXPECT_EQ(serial.transitions, parallel.transitions);
   EXPECT_EQ(serial.pairs_checked, parallel.pairs_checked);
+  EXPECT_EQ(serial.pairs_skipped, parallel.pairs_skipped);
   EXPECT_EQ(serial.complete, parallel.complete);
   for (std::size_t c = 0; c < serial.conditions.size(); ++c) {
     EXPECT_EQ(serial.conditions[c].checks, parallel.conditions[c].checks) << "C" << c;
@@ -131,7 +155,7 @@ TEST(Exhaustive, ParallelReportMatchesSerialUnderStateBudget) {
 }
 
 TEST(Exhaustive, ZeroThreadsMeansHardwareConcurrency) {
-  ExhaustiveOptions opts;
+  ExhaustiveOptions opts = Uncapped();
   opts.threads = 0;  // all hardware threads
   ExhaustiveReport report = CheckSeparabilityExhaustive(TinySystem(false), opts);
   EXPECT_TRUE(report.complete);
