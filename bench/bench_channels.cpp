@@ -171,10 +171,8 @@ std::uint64_t DeliveredWords(KernelizedSystem& sys, std::uint64_t words_per_tick
   return ((hi << 16) | lo) * words_per_tick;
 }
 
-void RunFabricBench(benchmark::State& state, Fabric fabric, std::uint64_t words_per_tick,
-                    bool superblocks = true) {
+void RunFabricBench(benchmark::State& state, Fabric fabric, std::uint64_t words_per_tick) {
   auto sys = BuildPair(fabric);
-  sys->machine().set_superblock_enabled(superblocks);
   sys->Run(20000);  // reach steady state with warm predecode caches
   const std::uint64_t before = DeliveredWords(*sys, words_per_tick);
   for (auto _ : state) {
@@ -198,17 +196,6 @@ void BM_ChannelSharedRingWords(benchmark::State& state) {
   RunFabricBench(state, Fabric::kSharedRing, 64);
 }
 BENCHMARK(BM_ChannelSharedRingWords);
-
-// The shared-ring pair with the superblock layer off. KernelizedSystem::Run
-// executes regimes on the threaded engine between kernel entries, so the
-// ratio of BM_ChannelSharedRingWords to this is what superblocks add to a
-// kernelized workload: `kernelized_superblock_speedup` in BENCH_*.json,
-// recorded (not guarded) as the evidence for ROADMAP's superblock decision
-// rule.
-void BM_ChannelSharedRingWordsNoSuperblock(benchmark::State& state) {
-  RunFabricBench(state, Fabric::kSharedRing, 64, /*superblocks=*/false);
-}
-BENCHMARK(BM_ChannelSharedRingWordsNoSuperblock);
 
 // --- cross-node: reliable tunnel framing --------------------------------------
 
