@@ -1,7 +1,7 @@
 // A small fixed-size worker pool with a blocking parallel-for.
 //
 // Built for the exhaustive checker (src/core/exhaustive.cpp), which expands
-// BFS slices and checks Φ-pair waves on it: the unit of work is a pure
+// BFS slices and takes frontier records on it: the unit of work is a pure
 // function of index `i` writing only to its own output slot, and the caller
 // needs a barrier at the end. Determinism is the caller's design: workers
 // compute results into per-index slots, and the caller merges them in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -31,15 +32,19 @@ namespace {
 // the slice in canonical order. It numbers new states first-come, counts
 // transitions, checks and violations, and applies the two cut rules:
 // max_violations is tested between states, and the state budget is tested
-// before a state is admitted. Pair checking works the same way, in waves of
-// kPairWave tasks.
+// before a state is admitted.
 //
-// Slice and wave sizes are constants, so which states get expanded and
-// which pair tasks get computed depends on the system and options alone,
-// never on the thread count. Every report field follows from that with no
-// replay: ids, violation order, truncation points and transition counts,
-// but also restore_count (the RestoreFullState calls actually made) and
-// peak_state_bytes (the store actually built).
+// While it expands a state, the worker also takes the state's record:
+// everything of it that conditions (6), (1), (3) and (5) read. The merge
+// thread interns each field into a class id by exact word content. After
+// exploration the class check decides those conditions once per
+// (colour, Φ-group) from the records alone, with no restore.
+//
+// The slice size is a constant, so which states get expanded depends on the
+// system and options alone, never on the thread count. Every report field
+// follows from that with no replay: ids, violation order, truncation points
+// and transition counts, but also restore_count (the RestoreFullState calls
+// actually made) and peak_state_bytes (the store actually built).
 //
 // No live SharedSystem is retained per explored state. Each state exists
 // only as its serialized FullState() words; workers reconstruct live
@@ -49,9 +54,6 @@ constexpr std::size_t kChunkWords = 64;
 // States expanded per parallel slice. Exploration stops at a cut rule only
 // between slices, so this bounds the work done past the cut.
 constexpr std::size_t kSliceStates = 64;
-// Φ-equal pair tasks checked per parallel wave. Pair tasks are cheap, so
-// waves are wide: each one costs a pool barrier.
-constexpr std::size_t kPairWave = 8192;
 
 // Trace payload words are 16-bit; saturate rather than wrap so a reader can
 // tell "at least 65535" from a small value.
@@ -148,7 +150,7 @@ class ShardedStateStore {
   }
 
   // After the last intern, lock-free reads: the phase barrier between
-  // exploration and pair checking provides the happens-before edge.
+  // exploration and the frontier records provides the happens-before edge.
   void Freeze() { frozen_ = true; }
 
   // Reconstructs state `packed`'s serialized words into `out` (its chunk-ref
@@ -260,6 +262,39 @@ std::uint32_t InternChunkCached(ShardedStateStore& store, ChunkCache& cache, con
   return ref;
 }
 
+// Exact interning of word strings to dense ids, on one thread. A hit needs
+// equal content, never hash identity alone, so equal ids mean equal words.
+class WordInterner {
+ public:
+  std::int32_t Intern(std::uint64_t hash, std::span<const Word> words) {
+    const std::int32_t found = index_.Find(hash, [&](std::int32_t id) {
+      return hashes_[static_cast<std::size_t>(id)] == hash && std::ranges::equal(Get(id), words);
+    });
+    if (found >= 0) {
+      return found;
+    }
+    const auto id = static_cast<std::int32_t>(hashes_.size());
+    words_.insert(words_.end(), words.begin(), words.end());
+    ends_.push_back(words_.size());
+    hashes_.push_back(hash);
+    index_.Insert(hash, id, [&](std::int32_t i) { return hashes_[static_cast<std::size_t>(i)]; });
+    return id;
+  }
+
+  std::span<const Word> Get(std::int32_t id) const {
+    const auto i = static_cast<std::size_t>(id);
+    return {words_.data() + ends_[i], words_.data() + ends_[i + 1]};
+  }
+
+  std::size_t size() const { return hashes_.size(); }
+
+ private:
+  HashIndex index_;
+  std::vector<Word> words_;  // id i occupies words_[ends_[i] .. ends_[i + 1])
+  std::vector<std::size_t> ends_{0};
+  std::vector<std::uint64_t> hashes_;
+};
+
 // What a worker records for one expanded state, in canonical successor
 // order: the operation, then each input value into each unit, then each
 // unit's activity. Passing checks are only counted.
@@ -271,12 +306,16 @@ struct Expansion {
     Violation violation;
   };
   std::vector<Fail> fails;  // in check order
-};
-
-// What a worker records for one Φ-equal pair task.
-struct PairOutcome {
-  std::array<std::uint32_t, 7> checks{};  // per condition
-  std::vector<Violation> fails;           // in check order
+  // The state's record before interning: COLOUR, then each later field as
+  // words (see the record layout in ExhaustiveRun).
+  int colour = kColourNone;
+  struct Field {
+    std::size_t end;     // the field's words end at words[end]
+    std::uint64_t hash;  // of those words
+    int table;           // class table that interns them; -1: field unused
+  };
+  std::vector<Word> words;
+  std::vector<Field> fields;
 };
 
 class ExhaustiveRun {
@@ -289,6 +328,14 @@ class ExhaustiveRun {
     scratch_.resize(static_cast<std::size_t>(pool_.size()));
     colours_ = initial_->ColourCount();
     units_ = initial_->UnitCount();
+    stride_ = StepField(units_);
+    tables_.resize(static_cast<std::size_t>(colours_) + 2);
+    units_of_.resize(static_cast<std::size_t>(colours_));
+    for (int unit = 0; unit < units_; ++unit) {
+      if (InRange(initial_->UnitColour(unit))) {
+        units_of_[static_cast<std::size_t>(initial_->UnitColour(unit))].push_back(unit);
+      }
+    }
   }
 
   ExhaustiveReport Run() {
@@ -307,13 +354,18 @@ class ExhaustiveRun {
       return std::move(report_);
     }
 
-    Explore(Intern(ScratchHere(), *init_key));
+    const auto timed = [](std::int64_t& ns, auto phase) {
+      const auto start = std::chrono::steady_clock::now();
+      phase();
+      ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start)
+               .count();
+    };
+    timed(report_.explore_ns, [&] { Explore(Intern(ScratchHere(), *init_key)); });
     store_->Freeze();
-    if (report_.complete || canon_to_packed_.size() <= options_.max_states) {
-      CheckPairs();
-    }
-    if (report_.pairs_skipped != 0) {
-      report_.complete = false;
+    if (!Done()) {
+      timed(report_.frontier_ns, [&] { RecordFrontier(); });
+      timed(report_.class_check_ns, [&] { CheckClasses(); });
     }
 
     report_.states_explored = canon_to_packed_.size();
@@ -332,8 +384,12 @@ class ExhaustiveRun {
     obs::Metrics().GetGauge("exhaustive.restore_count").Set(report_.restore_count);
     obs::Metrics().GetGauge("exhaustive.peak_state_bytes").Set(report_.peak_state_bytes);
     obs::Metrics().GetGauge("exhaustive.shard_max_load").Set(report_.shard_max_load);
-    // Per-worker counters expose load balance across the pool; they are
-    // the only schedule-dependent numbers the checker exports.
+    // Per-worker counters expose load balance across the pool, and the phase
+    // times where the wall time went; they are the only schedule-dependent
+    // numbers the checker exports.
+    obs::Metrics().GetGauge("exhaustive.explore_ns").Set(report_.explore_ns);
+    obs::Metrics().GetGauge("exhaustive.frontier_ns").Set(report_.frontier_ns);
+    obs::Metrics().GetGauge("exhaustive.class_check_ns").Set(report_.class_check_ns);
     for (std::size_t w = 0; w < scratch_.size(); ++w) {
       obs::Metrics()
           .GetGauge(Format("exhaustive.worker%zu.expanded", w))
@@ -350,17 +406,14 @@ class ExhaustiveRun {
   // reusable buffers of every hot loop. Indexed by the pool's worker index;
   // never touched by two threads at once.
   struct Scratch {
-    std::unique_ptr<SharedSystem> base;  // the "from" / first-of-pair state
-    std::unique_ptr<SharedSystem> work;  // mutated per successor / per probe
-    std::vector<Word> key_a;             // materialized serializations
-    std::vector<Word> key_b;
-    std::vector<Word> ser;    // successor serialization scratch
-    std::vector<Word> phi_a;  // abstraction scratch
-    std::vector<Word> phi_b;
-    std::vector<std::vector<Word>> before_phi;  // per-colour Φ of the from state
-    std::vector<std::uint32_t> refs_a;          // chunk-ref scratch (materialize)
-    std::vector<std::uint32_t> refs_b;
-    std::vector<std::uint32_t> intern_refs;  // chunk-ref scratch (intern)
+    std::unique_ptr<SharedSystem> base;  // the state being expanded
+    std::unique_ptr<SharedSystem> work;  // mutated per successor
+    std::vector<Word> key;               // the state's materialized serialization
+    std::vector<Word> ser;               // successor serialization scratch
+    std::vector<Word> phi;               // abstraction scratch
+    std::vector<std::vector<Word>> before_phi;  // per-colour Φ of the state
+    std::vector<std::uint32_t> refs;            // chunk-ref scratch (materialize)
+    std::vector<std::uint32_t> intern_refs;     // chunk-ref scratch (intern)
     ChunkCache cache;
     std::uint64_t restores = 0;
     std::uint64_t expanded = 0;
@@ -402,17 +455,87 @@ class ExhaustiveRun {
     return buf == expected;
   }
 
+  bool InRange(int colour) const { return colour >= 0 && colour < colours_; }
+
+  // --- the per-state record ---
+  //
+  // One int32 per field, `stride_` fields per canonical id:
+  //   COLOUR(s);
+  //   NEXTOP(s);
+  //   Φ^c(s) for each colour c;
+  //   Φ^COLOUR(s) of the operation successor;
+  //   Φ^u of each input successor, unit-major (u is the unit's colour);
+  //   per unit, Φ^u of the unit-step successor, taken before DrainOutput,
+  //   and the drained output.
+  // Every field after COLOUR is a class id: equal ids mean equal words. A
+  // field whose colour is out of range (a kernel-mode operation, a unit of
+  // no colour) is -1; no check reads it.
+  static constexpr std::size_t kColourField = 0;
+  static constexpr std::size_t kNextopField = 1;
+  std::size_t PhiField(int colour) const { return 2 + static_cast<std::size_t>(colour); }
+  std::size_t OperationField() const { return PhiField(colours_); }
+  std::size_t InputField(int unit, int value) const {
+    return OperationField() + 1 +
+           static_cast<std::size_t>(unit * options_.inputs_per_unit + value - 1);
+  }
+  std::size_t StepField(int unit) const {
+    return InputField(units_, 1) + 2 * static_cast<std::size_t>(unit);
+  }
+  std::size_t OutputField(int unit) const { return StepField(unit) + 1; }
+
+  // Class tables: one per colour for Φ words, then NEXTOP and outputs.
+  int NextopTable() const { return colours_; }
+  int OutputTable() const { return colours_ + 1; }
+
+  const std::int32_t* RecordOf(std::int32_t id) const {
+    return records_.data() + static_cast<std::size_t>(id) * stride_;
+  }
+
+  // Appends a record field whose words `append` writes (when `table` is -1,
+  // the field is unused and gets no words).
+  template <typename Append>
+  static void AddField(Expansion& e, int table, Append append) {
+    const std::size_t begin = e.words.size();
+    if (table >= 0) {
+      append(e.words);
+    }
+    e.fields.push_back(
+        {e.words.size(), HashWords(e.words.data() + begin, e.words.size() - begin), table});
+  }
+
+  void AddPhiField(Expansion& e, const SharedSystem& sys, int colour) const {
+    AddField(e, InRange(colour) ? colour : -1,
+             [&](std::vector<Word>& out) { sys.AppendAbstract(colour, out); });
+  }
+
+  // Merge thread: interns `e`'s fields and appends the state's record.
+  void InternRecord(const Expansion& e) {
+    records_.push_back(e.colour);
+    std::size_t begin = 0;
+    for (const Expansion::Field& f : e.fields) {
+      records_.push_back(f.table < 0 ? -1
+                                     : tables_[static_cast<std::size_t>(f.table)].Intern(
+                                           f.hash, {e.words.data() + begin, f.end - begin}));
+      begin = f.end;
+    }
+    SEP_DCHECK(records_.size() % stride_ == 0);
+  }
+
   // --- exploration: workers expand, the merge thread numbers ---
 
-  // One successor of the state held in sc.key_a: reconstructs it in
-  // sc.work, applies `mutate`, checks condition `cond` (Φ of every colour
+  // One successor of the state held in sc.key: reconstructs it in sc.work
+  // and applies `mutate`, which also adds the successor's record fields.
+  // When `expand` is set it then checks condition `cond` (Φ of every colour
   // but `exempt` is unchanged) and interns the result.
   template <typename Mutate, typename Describe>
-  void Successor(Scratch& sc, Expansion& e, int cond, int exempt, Mutate mutate,
+  void Successor(Scratch& sc, Expansion& e, bool expand, int cond, int exempt, Mutate mutate,
                  Describe describe) {
     const auto ordinal = static_cast<std::uint32_t>(e.succs.size());
-    Restore(*sc.work, sc.key_a, sc);
+    Restore(*sc.work, sc.key, sc);
     mutate(*sc.work);
+    if (!expand) {
+      return;
+    }
     // A from-state whose active colour is outside the regime range (e.g.
     // kernel mode) is checked against every colour, so the count varies.
     std::uint8_t checks = 0;
@@ -421,7 +544,7 @@ class ExhaustiveRun {
         continue;
       }
       ++checks;
-      if (!SamePhi(*sc.work, c, sc.phi_b, sc.before_phi[static_cast<std::size_t>(c)])) {
+      if (!SamePhi(*sc.work, c, sc.phi, sc.before_phi[static_cast<std::size_t>(c)])) {
         e.fails.push_back({ordinal, {cond, c, 0, describe(c)}});
       }
     }
@@ -431,45 +554,75 @@ class ExhaustiveRun {
     e.succs.push_back(Intern(sc, sc.ser));
   }
 
-  // Every successor of one state, in canonical order; conditions (2) and (4)
-  // are checked on each transition.
-  void ExpandOne(std::int32_t from, Expansion& e) {
+  // Every successor of one state, in canonical order, and the state's
+  // record. When `expand` is set, conditions (2) and (4) are checked on each
+  // transition and the successors are interned; without it only the record
+  // is taken (a frontier state of a truncated run).
+  void ExpandOne(std::int32_t from, Expansion& e, bool expand) {
     Scratch& sc = ScratchHere();
     e.succs.clear();
     e.checks.clear();
     e.fails.clear();
-    ++sc.expanded;
+    e.words.clear();
+    e.fields.clear();
+    if (expand) {
+      ++sc.expanded;
+    }
 
-    store_->MaterializeState(from, sc.refs_a, sc.key_a);
-    Restore(*sc.base, sc.key_a, sc);
+    store_->MaterializeState(from, sc.refs, sc.key);
+    Restore(*sc.base, sc.key, sc);
+    const int active = sc.base->Colour();
+    e.colour = active;
+    AddField(e, NextopTable(), [&](std::vector<Word>& out) {
+      const OperationId op = sc.base->NextOperation();
+      out.push_back(static_cast<Word>(op.kind));
+      out.insert(out.end(), op.detail.begin(), op.detail.end());
+    });
     for (int c = 0; c < colours_; ++c) {
-      sc.before_phi[static_cast<std::size_t>(c)].clear();
-      sc.base->AppendAbstract(c, sc.before_phi[static_cast<std::size_t>(c)]);
+      std::vector<Word>& phi = sc.before_phi[static_cast<std::size_t>(c)];
+      phi.clear();
+      sc.base->AppendAbstract(c, phi);
+      AddField(e, c,
+               [&](std::vector<Word>& out) { out.insert(out.end(), phi.begin(), phi.end()); });
     }
 
     // (a) the operation NEXTOP(s).
-    const int active = sc.base->Colour();
     Successor(
-        sc, e, 2, active, [](SharedSystem& sys) { sys.ExecuteOperation(); },
+        sc, e, expand, 2, active,
+        [&](SharedSystem& sys) {
+          sys.ExecuteOperation();
+          AddPhiField(e, sys, active);
+        },
         [&](int c) { return Format("operation of colour %d changed Φ of colour %d", active, c); });
 
     // (b) every input in the alphabet, into every unit.
     for (int unit = 0; unit < units_; ++unit) {
+      const int colour = initial_->UnitColour(unit);
       for (int value = 1; value <= options_.inputs_per_unit; ++value) {
         Successor(
-            sc, e, 4, initial_->UnitColour(unit),
-            [&](SharedSystem& sys) { sys.InjectInput(unit, static_cast<Word>(value)); },
+            sc, e, expand, 4, colour,
+            [&](SharedSystem& sys) {
+              sys.InjectInput(unit, static_cast<Word>(value));
+              AddPhiField(e, sys, colour);
+            },
             [&](int c) { return Format("input to unit %d visible to colour %d", unit, c); });
       }
     }
 
     // (c) every unit's activity.
     for (int unit = 0; unit < units_; ++unit) {
+      const int colour = initial_->UnitColour(unit);
       Successor(
-          sc, e, 4, initial_->UnitColour(unit),
+          sc, e, expand, 4, colour,
           [&](SharedSystem& sys) {
             sys.StepUnit(unit);
-            (void)sys.DrainOutput(unit);  // keep the state space bounded
+            // Condition 3 reads the step's Φ before the output is drained;
+            // the drain keeps the state space bounded.
+            AddPhiField(e, sys, colour);
+            const std::vector<Word> output = sys.DrainOutput(unit);
+            AddField(e, OutputTable(), [&](std::vector<Word>& out) {
+              out.insert(out.end(), output.begin(), output.end());
+            });
           },
           [&](int c) { return Format("activity of unit %d visible to colour %d", unit, c); });
     }
@@ -497,9 +650,11 @@ class ExhaustiveRun {
     }
   }
 
-  // Consumes one expansion in successor order. Done() is not tested inside
-  // a state's successor list; the state budget is, before each admission.
+  // Consumes one expansion: the state's record, then its successors in
+  // order. Done() is not tested inside a state's successor list; the state
+  // budget is, before each admission.
   void Merge(const Expansion& e) {
+    InternRecord(e);
     std::size_t fi = 0;
     for (std::uint32_t ord = 0; ord < e.succs.size(); ++ord) {
       ++report_.transitions;
@@ -526,7 +681,6 @@ class ExhaustiveRun {
   void Explore(std::int32_t initial_id) {
     CanonSlot(initial_id) = 0;
     canon_to_packed_.push_back(initial_id);
-    std::vector<Expansion> slice(kSliceStates);
     std::size_t level_begin = 0;
     std::size_t depth = 0;
     while (level_begin < canon_to_packed_.size() && !Done() && !overflowed_) {
@@ -541,10 +695,11 @@ class ExhaustiveRun {
       for (std::size_t base = level_begin; base < level_end && !Done() && !overflowed_;
            base += kSliceStates) {
         const std::size_t count = std::min(kSliceStates, level_end - base);
-        pool_.ParallelFor(count,
-                          [&](std::size_t i) { ExpandOne(canon_to_packed_[base + i], slice[i]); });
+        pool_.ParallelFor(count, [&](std::size_t i) {
+          ExpandOne(canon_to_packed_[base + i], slice_[i], true);
+        });
         for (std::size_t i = 0; i < count && !Done() && !overflowed_; ++i) {
-          Merge(slice[i]);
+          Merge(slice_[i]);
         }
       }
       level_begin = level_end;
@@ -552,176 +707,162 @@ class ExhaustiveRun {
     report_.complete = level_begin == canon_to_packed_.size() && !overflowed_ && !Done();
   }
 
-  // --- pair phase ---
-
-  // The checks of conditions 6, 1, 3 and 5 for one Φ-equal pair. `a`/`b`
-  // are canonical ids.
-  void CheckPair(int c, std::int32_t a, std::int32_t b, PairOutcome& out) {
-    Scratch& sc = ScratchHere();
-    out.checks.fill(0);
-    out.fails.clear();
-    const auto fail = [&](int cond, std::string description) {
-      out.fails.push_back({cond, c, 0, std::move(description)});
-    };
-    // Reconstructs a into sc.base and b into sc.work. A task that checks
-    // nothing (colours differ, no unit of colour c) never materializes.
-    bool materialized = false;
-    const auto restore_pair = [&] {
-      if (!materialized) {
-        store_->MaterializeState(canon_to_packed_[static_cast<std::size_t>(a)], sc.refs_a,
-                                 sc.key_a);
-        store_->MaterializeState(canon_to_packed_[static_cast<std::size_t>(b)], sc.refs_b,
-                                 sc.key_b);
-        materialized = true;
-      }
-      Restore(*sc.base, sc.key_a, sc);
-      Restore(*sc.work, sc.key_b, sc);
-    };
-    // Checks Φ^c of sc.base against Φ^c of sc.work (condition `cond`).
-    const auto same_effect = [&](int cond) {
-      ++out.checks[static_cast<std::size_t>(cond)];
-      sc.phi_a.clear();
-      sc.base->AppendAbstract(c, sc.phi_a);
-      return SamePhi(*sc.work, c, sc.phi_b, sc.phi_a);
-    };
-    // Conditions 6 and 1: same colour + same Φ^c.
-    if (state_colours_[static_cast<std::size_t>(a)] == c &&
-        state_colours_[static_cast<std::size_t>(b)] == c) {
-      restore_pair();
-      const OperationId na = sc.base->NextOperation();
-      const OperationId nb = sc.work->NextOperation();
-      ++out.checks[6];
-      if (na != nb) {
-        fail(6, Format("NEXTOP differs for Φ-equal states of colour %d: %s vs %s", c,
-                       na.ToString().c_str(), nb.ToString().c_str()));
-      }
-      sc.base->ExecuteOperation();
-      sc.work->ExecuteOperation();
-      if (!same_effect(1)) {
-        fail(1, Format("operation effect on colour %d differs across Φ-equal states", c));
-      }
-    }
-
-    // Conditions 3 and 5 for each unit of colour c.
-    for (int unit = 0; unit < units_; ++unit) {
-      if (initial_->UnitColour(unit) != c) {
-        continue;
-      }
-      for (int value = 1; value <= options_.inputs_per_unit; ++value) {
-        restore_pair();
-        sc.base->InjectInput(unit, static_cast<Word>(value));
-        sc.work->InjectInput(unit, static_cast<Word>(value));
-        if (!same_effect(3)) {
-          fail(3, Format("input effect on colour %d differs across Φ-equal states", c));
-        }
-      }
-      restore_pair();
-      sc.base->StepUnit(unit);
-      sc.work->StepUnit(unit);
-      if (!same_effect(3)) {
-        fail(3, Format("unit activity on colour %d differs across Φ-equal states", c));
-      }
-      ++out.checks[5];
-      if (sc.base->DrainOutput(unit) != sc.work->DrainOutput(unit)) {
-        fail(5, Format("output of colour %d differs across Φ-equal states", c));
+  // Records of the admitted states exploration never merged (the frontier
+  // of a truncated run), taken by restore through ExpandOne and interned in
+  // canonical order.
+  void RecordFrontier() {
+    const std::size_t n = canon_to_packed_.size();
+    for (std::size_t base = records_.size() / stride_; base < n; base += kSliceStates) {
+      const std::size_t count = std::min(kSliceStates, n - base);
+      pool_.ParallelFor(count, [&](std::size_t i) {
+        ExpandOne(canon_to_packed_[base + i], slice_[i], false);
+      });
+      for (std::size_t i = 0; i < count; ++i) {
+        InternRecord(slice_[i]);
       }
     }
   }
 
-  // Conditions with a two-state antecedent, over every Φ-equal pair. Tasks
-  // are enumerated in canonical order and computed in waves; the merge
-  // tests Done() between tasks.
-  void CheckPairs() {
-    const std::size_t n = canon_to_packed_.size();
+  // --- class check ---
 
-    struct PairTask {
-      std::int32_t a;
-      std::int32_t b;
+  // Conditions (6), (1), (3) and (5) on one pair of a Φ^c-group, from the
+  // two records, in the order the conditions are numbered per pair: (6)
+  // and (1) when both states are of colour c, then per unit of colour c its
+  // inputs (3), its activity (3) and its output (5).
+  void CheckRecordPair(int c, const std::int32_t* a, const std::int32_t* b) {
+    ++report_.pairs_checked;
+    const auto check = [&](int cond, std::size_t field, auto describe) {
+      ++report_.conditions[static_cast<std::size_t>(cond)].checks;
+      if (a[field] != b[field]) {
+        CountViolation({cond, c, 0, describe()});
+      }
     };
-    std::vector<std::vector<Word>> phis(n);
-    std::vector<int> order(n);
-    state_colours_.assign(n, kColourNone);
-    std::vector<PairTask> tasks;
-    std::vector<std::pair<std::size_t, std::size_t>> capped;
-    std::vector<PairOutcome> wave(kPairWave);
-
-    for (int c = 0; c < colours_ && !Done(); ++c) {
-      // Group reachable states by Φ^c. Each worker reconstructs the state
-      // in its scratch system, computes Φ^c once into the per-state slot
-      // and (on the first colour) records COLOUR(s) so the pair probes can
-      // test their condition-6/1 antecedent without a restore.
-      pool_.ParallelFor(n, [&](std::size_t i) {
-        Scratch& sc = ScratchHere();
-        store_->MaterializeState(canon_to_packed_[i], sc.refs_a, sc.key_a);
-        Restore(*sc.base, sc.key_a, sc);
-        if (c == 0) {
-          state_colours_[i] = static_cast<std::int8_t>(sc.base->Colour());
-        }
-        phis[i].clear();
-        sc.base->AppendAbstract(c, phis[i]);
+    if (a[kColourField] == c && b[kColourField] == c) {
+      check(6, kNextopField, [&] {
+        return Format("NEXTOP differs for Φ-equal states of colour %d: %s vs %s", c,
+                      Operation(a).ToString().c_str(), Operation(b).ToString().c_str());
       });
-
-      // Enumerate pairs in canonical order: groups by ascending Φ key,
-      // members by ascending state id, pairs lexicographically within a
-      // group, capped per group. `capped` records each group the cap cut:
-      // the end of its tasks and the pairs it lost.
-      for (std::size_t i = 0; i < n; ++i) {
-        order[i] = static_cast<int>(i);
-      }
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
-        if (phis[static_cast<std::size_t>(a)] != phis[static_cast<std::size_t>(b)]) {
-          return phis[static_cast<std::size_t>(a)] < phis[static_cast<std::size_t>(b)];
-        }
-        return a < b;
+      check(1, OperationField(), [&] {
+        return Format("operation effect on colour %d differs across Φ-equal states", c);
       });
-
-      tasks.clear();
-      capped.clear();
-      for (std::size_t begin = 0; begin < n;) {
-        std::size_t end = begin + 1;
-        while (end < n && phis[static_cast<std::size_t>(order[end])] ==
-                              phis[static_cast<std::size_t>(order[begin])]) {
-          ++end;
-        }
-        std::size_t pairs = 0;
-        for (std::size_t a = begin; a < end; ++a) {
-          for (std::size_t b = a + 1; b < end; ++b) {
-            if (++pairs > options_.max_pairs_per_group) {
-              break;
-            }
-            tasks.push_back({order[a], order[b]});
-          }
-        }
-        const std::size_t group_pairs = (end - begin) * (end - begin - 1) / 2;
-        if (group_pairs > options_.max_pairs_per_group) {
-          capped.push_back({tasks.size(), group_pairs - options_.max_pairs_per_group});
-        }
-        begin = end;
-      }
-
-      const std::size_t checked_before = report_.pairs_checked;
-      for (std::size_t base = 0; base < tasks.size() && !Done(); base += kPairWave) {
-        const std::size_t count = std::min(kPairWave, tasks.size() - base);
-        pool_.ParallelFor(count, [&](std::size_t i) {
-          CheckPair(c, tasks[base + i].a, tasks[base + i].b, wave[i]);
+    }
+    for (const int unit : units_of_[static_cast<std::size_t>(c)]) {
+      for (int value = 1; value <= options_.inputs_per_unit; ++value) {
+        check(3, InputField(unit, value), [&] {
+          return Format("input effect on colour %d differs across Φ-equal states", c);
         });
-        for (std::size_t i = 0; i < count && !Done(); ++i) {
-          ++report_.pairs_checked;
-          for (std::size_t cond = 0; cond < wave[i].checks.size(); ++cond) {
-            report_.conditions[cond].checks += wave[i].checks[cond];
-          }
-          for (const Violation& v : wave[i].fails) {
-            CountViolation(v);
-          }
+      }
+      check(3, StepField(unit), [&] {
+        return Format("unit activity on colour %d differs across Φ-equal states", c);
+      });
+      check(5, OutputField(unit),
+            [&] { return Format("output of colour %d differs across Φ-equal states", c); });
+    }
+  }
+
+  OperationId Operation(const std::int32_t* record) const {
+    const std::span<const Word> words =
+        tables_[static_cast<std::size_t>(NextopTable())].Get(record[kNextopField]);
+    return {static_cast<OperationId::Kind>(words[0]), {words.begin() + 1, words.end()}};
+  }
+
+  // True when every pair of `group` passes every check CheckRecordPair
+  // would run: the members of colour c agree on NEXTOP and the operation
+  // successor's class, and all members agree on each field of c's units.
+  bool GroupAgrees(int c, std::span<const std::int32_t> group) const {
+    const std::int32_t* first = RecordOf(group[0]);
+    const std::int32_t* first_of_c = nullptr;
+    for (const std::int32_t id : group) {
+      const std::int32_t* r = RecordOf(id);
+      if (r[kColourField] == c) {
+        if (first_of_c == nullptr) {
+          first_of_c = r;
+        } else if (r[kNextopField] != first_of_c[kNextopField] ||
+                   r[OperationField()] != first_of_c[OperationField()]) {
+          return false;
         }
       }
-      // A run that stops at max_violations counts the pairs cut from the
-      // groups it finished, not from those it never reached.
-      const std::size_t checked = report_.pairs_checked - checked_before;
-      for (const auto& [tasks_end, cut] : capped) {
-        if (tasks_end <= checked) {
-          report_.pairs_skipped += cut;
+      for (const int unit : units_of_[static_cast<std::size_t>(c)]) {
+        if (!std::equal(r + InputField(unit, 1), r + InputField(unit + 1, 1),
+                        first + InputField(unit, 1)) ||
+            r[StepField(unit)] != first[StepField(unit)] ||
+            r[OutputField(unit)] != first[OutputField(unit)]) {
+          return false;
         }
+      }
+    }
+    return true;
+  }
+
+  // One Φ^c-group, members in ascending id order. A group that agrees adds
+  // its counts arithmetically; one that does not is walked pair by pair in
+  // lexicographic order, testing the violation budget between pairs.
+  void CheckGroup(int c, std::span<const std::int32_t> group) {
+    if (GroupAgrees(c, group)) {
+      const std::uint64_t k = group.size();
+      const auto m = static_cast<std::uint64_t>(
+          std::count_if(group.begin(), group.end(), [&](std::int32_t id) {
+            return RecordOf(id)[kColourField] == c;
+          }));
+      const std::uint64_t pairs = k * (k - 1) / 2;
+      const std::uint64_t units = units_of_[static_cast<std::size_t>(c)].size();
+      report_.pairs_checked += pairs;
+      report_.conditions[6].checks += m * (m - 1) / 2;
+      report_.conditions[1].checks += m * (m - 1) / 2;
+      report_.conditions[3].checks +=
+          units * (static_cast<std::uint64_t>(options_.inputs_per_unit) + 1) * pairs;
+      report_.conditions[5].checks += units * pairs;
+      return;
+    }
+    for (std::size_t a = 0; a < group.size(); ++a) {
+      for (std::size_t b = a + 1; b < group.size(); ++b) {
+        if (Done()) {
+          return;
+        }
+        CheckRecordPair(c, RecordOf(group[a]), RecordOf(group[b]));
+      }
+    }
+  }
+
+  // Conditions with a two-state antecedent, over every Φ-equal pair: for
+  // each colour, groups in ascending Φ-word order, members in ascending id.
+  void CheckClasses() {
+    const auto n = static_cast<std::int32_t>(canon_to_packed_.size());
+    std::vector<std::int32_t> members(canon_to_packed_.size());
+    std::vector<std::size_t> starts;
+    std::vector<std::size_t> groups;
+    for (int c = 0; c < colours_ && !Done(); ++c) {
+      const WordInterner& table = tables_[static_cast<std::size_t>(c)];
+      const auto class_of = [&](std::int32_t id) {
+        return static_cast<std::size_t>(RecordOf(id)[PhiField(c)]);
+      };
+      // Counting sort of the states by Φ^c class, so members stay in
+      // ascending id order. Only classes of two or more states have pairs.
+      starts.assign(table.size() + 1, 0);
+      for (std::int32_t id = 0; id < n; ++id) {
+        ++starts[class_of(id) + 1];
+      }
+      groups.clear();
+      for (std::size_t cls = 0; cls < table.size(); ++cls) {
+        if (starts[cls + 1] >= 2) {
+          groups.push_back(cls);
+        }
+        starts[cls + 1] += starts[cls];
+      }
+      std::vector<std::size_t> next(starts.begin(), starts.end() - 1);
+      for (std::int32_t id = 0; id < n; ++id) {
+        members[next[class_of(id)]++] = id;
+      }
+      std::sort(groups.begin(), groups.end(), [&](std::size_t x, std::size_t y) {
+        return std::ranges::lexicographical_compare(table.Get(static_cast<std::int32_t>(x)),
+                                                    table.Get(static_cast<std::int32_t>(y)));
+      });
+      for (const std::size_t cls : groups) {
+        if (Done()) {
+          break;
+        }
+        CheckGroup(c, std::span<const std::int32_t>(members).subspan(
+                          starts[cls], starts[cls + 1] - starts[cls]));
       }
     }
   }
@@ -733,11 +874,15 @@ class ExhaustiveRun {
   int units_ = 0;
   ThreadPool pool_;
   std::vector<Scratch> scratch_;
+  std::vector<Expansion> slice_ = std::vector<Expansion>(kSliceStates);
 
   // Merge-thread-only canonical state.
   std::array<std::vector<std::int32_t>, kShardCount> canon_of_;  // packed -> canon id
   std::vector<std::int32_t> canon_to_packed_;                    // canon id -> packed
-  std::vector<std::int8_t> state_colours_;  // COLOUR(s) per canon id (CheckPairs)
+  std::size_t stride_ = 0;                  // record fields per state
+  std::vector<std::int32_t> records_;       // canon id * stride_ -> record
+  std::vector<WordInterner> tables_;        // class tables, see NextopTable()
+  std::vector<std::vector<int>> units_of_;  // units of each colour
   bool overflowed_ = false;
   ExhaustiveReport report_;
 };
@@ -747,9 +892,6 @@ class ExhaustiveRun {
 std::string ExhaustiveReport::Summary() const {
   std::string out =
       Format("%zu states, %zu transitions, %zu pairs", states_explored, transitions, pairs_checked);
-  if (pairs_skipped != 0) {
-    out += Format(" (%zu skipped by the pair cap)", pairs_skipped);
-  }
   out += complete ? ", COMPLETE: " : ", partial: ";
   for (int cond = 1; cond <= 6; ++cond) {
     const ConditionStats& s = conditions[static_cast<std::size_t>(cond)];

@@ -7,22 +7,27 @@
 //   1. enumerate every state reachable from the initial state under every
 //      operation, every environment input (a finite alphabet per unit) and
 //      every unit activity;
-//   2. check conditions (2) and (4) on every transition;
-//   3. group reachable states by (COLOUR, Φ^c) and check conditions (1),
-//      (3), (5) and (6) on every pair within each group, up to
-//      `max_pairs_per_group` pairs per group.
+//   2. check conditions (2) and (4) on every transition, and record for
+//      each state what the two-state conditions read of it (COLOUR, NEXTOP
+//      and the Φ class and output of each successor);
+//   3. group reachable states by (COLOUR, Φ^c) and decide conditions (1),
+//      (3), (5) and (6) for every pair within each group, once per group
+//      from those records.
 //
 // A report with `complete == true` is a genuine finite-model proof of the
 // six conditions over the reachable space — the closest executable
-// analogue of the theorem the paper envisages. A run that exceeds the
-// state budget, or whose pair cap skips any Φ-equal pair, gets
-// `complete == false` (the partial result is still sound: any violation
-// found is real), and `pairs_skipped` counts the pairs the cap left out.
+// analogue of the theorem the paper envisages: every reachable state was
+// explored within the state budget and every Φ-equal pair was checked.
+// There is no pair cap. A run that exceeds the state budget gets
+// `complete == false`; the partial result is still sound (any violation
+// found is real) and still covers every Φ-equal pair of the states it
+// admitted. The violation budget (`max_violations`) is the only other cut,
+// and a run it stops has found violations.
 //
 // Exploration is a level-synchronous BFS: each level is expanded in
 // fixed-size slices on a thread pool and merged by one thread in canonical
-// order, and pair checking runs in fixed-size waves the same way. Because
-// the slice and wave sizes are constants, the report is byte-identical at
+// order, and the merge thread numbers the record classes by exact content.
+// Because the slice size is a constant, the report is byte-identical at
 // every thread count by construction (docs/PERFORMANCE.md §6).
 //
 // Requires SharedSystem::FullState() support (a canonical serialization of
@@ -48,13 +53,10 @@ struct ExhaustiveOptions {
   // The environment alphabet: inputs 1..inputs_per_unit are injected into
   // each unit (plus the implicit "no input").
   int inputs_per_unit = 2;
-  // Cap on Φ-group pair checks (this guards against quadratic blowup on
-  // large groups). A run where it binds is not complete.
-  std::size_t max_pairs_per_group = 4096;
   int max_violations = 16;
-  // Worker threads for expansion and pair checking (0 = all hardware
-  // threads). Every report field except the per-worker diagnostics is the
-  // same at every thread count.
+  // Worker threads for expansion (0 = all hardware threads). Every report
+  // field except the per-worker and phase-time diagnostics is the same at
+  // every thread count.
   int threads = 1;
   // Has no effect: exploration has no steal schedule to perturb. Kept so
   // existing callers still compile.
@@ -65,9 +67,6 @@ struct ExhaustiveReport {
   std::size_t states_explored = 0;
   std::size_t transitions = 0;
   std::size_t pairs_checked = 0;
-  // Φ-equal pairs the per-group cap left unchecked; nonzero makes the run
-  // incomplete.
-  std::size_t pairs_skipped = 0;
   bool complete = false;
   std::array<ConditionStats, 7> conditions{};
   std::vector<Violation> violations;
@@ -77,16 +76,25 @@ struct ExhaustiveReport {
   // store holds every successor of every expanded state, so a truncated run
   // also counts the successors it computed but did not admit.
   std::size_t peak_state_bytes = 0;
-  // RestoreFullState calls the run made. Deterministic, like the store
-  // size: which states and pair tasks get computed does not depend on the
-  // thread count.
+  // RestoreFullState calls the run made: one per expanded or frontier state
+  // plus one per successor it applies. The class check restores nothing.
+  // Deterministic, like the store size: which states get expanded does not
+  // depend on the thread count.
   std::uint64_t restore_count = 0;
   // Always 0: the checker no longer steals work. Kept for existing readers.
   std::uint64_t steal_count = 0;
   std::size_t shard_max_load = 0;  // most populated state shard
-  // States expanded by each pool worker: the one schedule-dependent field.
-  // Also exported as `exhaustive.workerN.expanded` gauges.
+  // States expanded by each pool worker. Schedule-dependent, like the phase
+  // times below; also exported as `exhaustive.workerN.expanded` gauges.
   std::vector<std::uint64_t> worker_expanded;
+  // Wall-clock nanoseconds of each phase: exploration (with the records of
+  // expanded states), the records of a truncated run's frontier, and the
+  // class checks. Diagnostics, not in Summary(); exported as
+  // `exhaustive.explore_ns`, `exhaustive.frontier_ns` and
+  // `exhaustive.class_check_ns` gauges.
+  std::int64_t explore_ns = 0;
+  std::int64_t frontier_ns = 0;
+  std::int64_t class_check_ns = 0;
 
   bool Passed() const { return violations.empty(); }
   std::string Summary() const;

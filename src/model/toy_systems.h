@@ -13,12 +13,20 @@
 
 namespace sep {
 
+// Deliberate I/O defects of TinyTwoUserSystem, each refuted by a different
+// condition: an input leak mixes the other colour's counter into the inbox
+// an input fills (condition 3), an output leak mixes it into the word a unit
+// step emits (condition 5).
+enum class TinyDefect { kNone, kInputLeak, kOutputLeak };
+
 // Two users with 2-bit private counters and 2-bit I/O cells, alternating
 // scheduler, fully finite state space (a few thousand reachable states).
-// `leak` couples the counters through the operation.
+// `leak` couples the counters through the operation; `defect` adds an I/O
+// leak.
 class TinyTwoUserSystem : public SharedSystem {
  public:
-  explicit TinyTwoUserSystem(bool leak) : leak_(leak) {}
+  explicit TinyTwoUserSystem(bool leak, TinyDefect defect = TinyDefect::kNone)
+      : leak_(leak), defect_(defect) {}
 
   std::unique_ptr<SharedSystem> Clone() const override {
     return std::make_unique<TinyTwoUserSystem>(*this);
@@ -52,7 +60,9 @@ class TinyTwoUserSystem : public SharedSystem {
 
   void StepUnit(int unit) override {
     if (inbox_[unit] != 0) {
-      out_[unit] = cell_[unit];
+      out_[unit] = defect_ == TinyDefect::kOutputLeak
+                       ? static_cast<Word>((cell_[unit] + counter_[1 - unit]) & 0x3)
+                       : cell_[unit];
       has_out_[unit] = true;
       cell_[unit] = static_cast<Word>(inbox_[unit] & 0x3);
       inbox_[unit] = 0;
@@ -60,6 +70,9 @@ class TinyTwoUserSystem : public SharedSystem {
   }
 
   void InjectInput(int unit, Word value) override {
+    if (defect_ == TinyDefect::kInputLeak) {
+      value = static_cast<Word>(value + counter_[1 - unit]);
+    }
     inbox_[unit] = static_cast<Word>(value & 0x3);
   }
 
@@ -134,6 +147,7 @@ class TinyTwoUserSystem : public SharedSystem {
   static constexpr std::size_t kFullStateWords = 11;
 
   bool leak_;
+  TinyDefect defect_;
   int turn_ = 0;
   Word counter_[2] = {0, 0};
   Word cell_[2] = {0, 0};

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <limits>
 #include <string>
 
 #include "src/core/exhaustive.h"
@@ -15,35 +14,18 @@ namespace {
 
 using TinySystem = TinyTwoUserSystem;
 
-// No pair cap: every Φ-equal pair is checked, so a run can be complete.
-ExhaustiveOptions Uncapped() {
-  ExhaustiveOptions options;
-  options.max_pairs_per_group = std::numeric_limits<std::size_t>::max();
-  return options;
-}
-
+// The default run checks every one of the 398,664 Φ-equal pairs: there is
+// no pair cap, so a run that explores the whole space is a proof.
 TEST(Exhaustive, SecureTinySystemProvenSeparable) {
-  ExhaustiveReport report = CheckSeparabilityExhaustive(TinySystem(false), Uncapped());
+  ExhaustiveReport report = CheckSeparabilityExhaustive(TinySystem(false));
   EXPECT_TRUE(report.complete) << report.Summary();
   EXPECT_TRUE(report.Passed()) << report.Summary();
   // The whole space really was covered and all condition families checked.
   EXPECT_GT(report.states_explored, 100u);
   EXPECT_EQ(report.pairs_checked, 398664u);
-  EXPECT_EQ(report.pairs_skipped, 0u);
   for (int c : {1, 2, 3, 4, 5, 6}) {
     EXPECT_GT(report.conditions[static_cast<std::size_t>(c)].checks, 0u) << "C" << c;
   }
-}
-
-// The default cap of 4096 pairs per Φ-group binds on the secure tiny
-// system: the run finds no violation but has not checked every Φ-equal
-// pair, so it is no proof and must not say COMPLETE.
-TEST(Exhaustive, PairCapThatBindsIsNotComplete) {
-  ExhaustiveReport report = CheckSeparabilityExhaustive(TinySystem(false));
-  EXPECT_TRUE(report.Passed()) << report.Summary();
-  EXPECT_FALSE(report.complete) << report.Summary();
-  EXPECT_EQ(report.Summary().find("COMPLETE"), std::string::npos) << report.Summary();
-  EXPECT_EQ(report.pairs_checked + report.pairs_skipped, 398664u);
 }
 
 TEST(Exhaustive, LeakyTinySystemRefutedWithCounterexample) {
@@ -56,6 +38,27 @@ TEST(Exhaustive, LeakyTinySystemRefutedWithCounterexample) {
     c1_or_c2 = c1_or_c2 || v.condition == 1 || v.condition == 2;
   }
   EXPECT_TRUE(c1_or_c2);
+}
+
+// The I/O defects are refuted by the conditions that govern units: an
+// input leak by condition 3, an output leak by condition 5, and by nothing
+// else.
+void ExpectRefutedOnlyBy(TinyDefect defect, int condition) {
+  ExhaustiveReport report = CheckSeparabilityExhaustive(TinySystem(false, defect));
+  ASSERT_FALSE(report.Passed()) << report.Summary();
+  for (const Violation& v : report.violations) {
+    EXPECT_EQ(v.condition, condition) << v.description;
+  }
+  for (int c : {1, 2, 3, 4, 5, 6}) {
+    EXPECT_EQ(report.conditions[static_cast<std::size_t>(c)].violations > 0, c == condition)
+        << "C" << c << ": " << report.Summary();
+  }
+}
+
+TEST(Exhaustive, InputLeakRefutedByCondition3) { ExpectRefutedOnlyBy(TinyDefect::kInputLeak, 3); }
+
+TEST(Exhaustive, OutputLeakRefutedByCondition5) {
+  ExpectRefutedOnlyBy(TinyDefect::kOutputLeak, 5);
 }
 
 TEST(Exhaustive, StateBudgetMakesResultPartialNotWrong) {
@@ -97,7 +100,6 @@ void ExpectIdenticalReports(const ExhaustiveReport& serial, const ExhaustiveRepo
   EXPECT_EQ(serial.states_explored, parallel.states_explored);
   EXPECT_EQ(serial.transitions, parallel.transitions);
   EXPECT_EQ(serial.pairs_checked, parallel.pairs_checked);
-  EXPECT_EQ(serial.pairs_skipped, parallel.pairs_skipped);
   EXPECT_EQ(serial.complete, parallel.complete);
   for (std::size_t c = 0; c < serial.conditions.size(); ++c) {
     EXPECT_EQ(serial.conditions[c].checks, parallel.conditions[c].checks) << "C" << c;
@@ -111,7 +113,7 @@ void ExpectIdenticalReports(const ExhaustiveReport& serial, const ExhaustiveRepo
     EXPECT_EQ(serial.violations[i].description, parallel.violations[i].description) << i;
   }
   // The state-store diagnostics are deterministic too: the merged store and
-  // the per-task restore counts are independent of worker scheduling.
+  // the restore counts are independent of worker scheduling.
   EXPECT_EQ(serial.peak_state_bytes, parallel.peak_state_bytes);
   EXPECT_EQ(serial.restore_count, parallel.restore_count);
   EXPECT_EQ(serial.Summary(), parallel.Summary());
@@ -155,7 +157,7 @@ TEST(Exhaustive, ParallelReportMatchesSerialUnderStateBudget) {
 }
 
 TEST(Exhaustive, ZeroThreadsMeansHardwareConcurrency) {
-  ExhaustiveOptions opts = Uncapped();
+  ExhaustiveOptions opts;
   opts.threads = 0;  // all hardware threads
   ExhaustiveReport report = CheckSeparabilityExhaustive(TinySystem(false), opts);
   EXPECT_TRUE(report.complete);

@@ -1,9 +1,11 @@
 // Storage equivalence: the compact-store exhaustive checker (arena-interned
 // serialized states + RestoreFullState reconstruction) must produce reports
-// BYTE-IDENTICAL to the original clone-retaining implementation. The golden
-// renderings below were captured from that implementation before the store
-// was introduced; every counter, per-condition stat, violation order and
-// Summary() byte is pinned, serial and parallel.
+// BYTE-IDENTICAL to the original clone-retaining implementation. The first
+// golden renderings below were captured from that implementation before the
+// store was introduced. The class-check goldens after them were captured
+// from the checker that restored and re-ran every Φ-equal pair, with its
+// per-group pair cap lifted. Every counter, per-condition stat, violation
+// order and Summary() byte is pinned, serial and parallel.
 //
 // Also here: FullState ∘ RestoreFullState round-trip properties, since the
 // equivalence above is exactly as trustworthy as that inverse.
@@ -65,11 +67,59 @@ std::string Render(const ExhaustiveReport& r) {
   return out;
 }
 
-std::string Check(const SharedSystem& system, int threads) {
-  ExhaustiveOptions options;
+std::string Check(const SharedSystem& system, int threads, ExhaustiveOptions options = {}) {
   options.threads = threads;
   return Render(CheckSeparabilityExhaustive(system, options));
 }
+
+// The golden must render the same at one thread, two, four and every
+// hardware thread.
+void ExpectGolden(const SharedSystem& system, const std::string& golden,
+                  const ExhaustiveOptions& options = {}) {
+  for (int threads : {1, 2, 4, ThreadPool::HardwareThreads()}) {
+    EXPECT_EQ(Check(system, threads, options), golden) << "threads=" << threads;
+  }
+}
+
+// Two counting loops whose product automaton is a long cycle: the E16
+// configuration (bench_separability's BuildCycleConfig). Every state has
+// one successor and there are no units, so only conditions 6 and 1 have
+// pairs to check.
+constexpr char kCycleA[] = R"(
+START:  INC R3
+        BIC #0xFFE0, R3
+        TRAP 0
+        BR START
+)";
+
+constexpr char kCycleB[] = R"(
+START:  INC R3
+        BIC #0xFF00, R3
+        TRAP 0
+        BR START
+)";
+
+std::unique_ptr<KernelizedSystem> BuildCycle() {
+  SystemBuilder builder;
+  builder.WithMemoryWords(1u << 12);
+  EXPECT_TRUE(builder.AddRegime("red", 64, kCycleA).ok());
+  EXPECT_TRUE(builder.AddRegime("black", 64, kCycleB).ok());
+  auto system = builder.Build();
+  EXPECT_TRUE(system.ok()) << system.error();
+  return std::move(system.value());
+}
+
+// `count` copies of one violation line.
+std::string Repeat(const std::string& line, int count) {
+  std::string out;
+  for (int i = 0; i < count; ++i) {
+    out += line;
+  }
+  return out;
+}
+
+constexpr char kLeakyC1[] =
+    "V c1 colour0 step0 operation effect on colour 0 differs across Φ-equal states\n";
 
 constexpr char kGoldenGood[] =
     "11 states, 11 transitions, 18 pairs, COMPLETE: "
@@ -84,12 +134,11 @@ constexpr char kGoldenSkipRestore[] =
     "V c2 colour0 step0 operation of colour 1 changed Φ of colour 0\n"
     "V c2 colour1 step0 operation of colour 0 changed Φ of colour 1\n";
 
-// The default cap of 4096 pairs per Φ-group checks 217272 of the 398664
-// Φ-equal pairs, so the run is partial, not a proof.
+// Every one of the 398664 Φ-equal pairs is checked: a proof.
 constexpr char kGoldenTinySecure[] =
-    "3528 states, 24696 transitions, 217272 pairs (181392 skipped by the pair cap), partial: "
-    "C1 0/50802 C2 0/3528 C3 0/651816 C4 0/21168 C5 0/217272 C6 0/50802 => SEPARABLE\n"
-    "transitions=24696 pairs=217272\n";
+    "3528 states, 24696 transitions, 398664 pairs, COMPLETE: "
+    "C1 0/98784 C2 0/3528 C3 0/1195992 C4 0/21168 C5 0/398664 C6 0/98784 => SEPARABLE\n"
+    "transitions=24696 pairs=398664\n";
 
 const std::string kGoldenTinyLeaky = [] {
   std::string golden =
@@ -102,6 +151,100 @@ const std::string kGoldenTinyLeaky = [] {
   }
   return golden;
 }();
+
+// The leaky tiny system at violation budgets of 1 and 3: the cut falls
+// inside a Φ-group, after 10 and 19 pairs.
+const std::string kGoldenTinyLeakyBudget1 =
+    "2646 states, 18522 transitions, 10 pairs, COMPLETE: "
+    "C1 1/9 C2 0/2646 C3 0/30 C4 0/15876 C5 0/10 C6 0/9 => VIOLATIONS\n"
+    "transitions=18522 pairs=10\n" +
+    Repeat(kLeakyC1, 1);
+
+const std::string kGoldenTinyLeakyBudget3 =
+    "2646 states, 18522 transitions, 19 pairs, COMPLETE: "
+    "C1 3/15 C2 0/2646 C3 0/57 C4 0/15876 C5 0/19 C6 0/15 => VIOLATIONS\n"
+    "transitions=18522 pairs=19\n" +
+    Repeat(kLeakyC1, 3);
+
+// The secure tiny system at state budgets of 50 and 1000: both admit
+// states they never expand, whose records come from the frontier path.
+constexpr char kGoldenTinySecure50[] =
+    "50 states, 136 transitions, 272 pairs, partial: "
+    "C1 0/82 C2 0/20 C3 0/816 C4 0/116 C5 0/272 C6 0/82 => SEPARABLE\n"
+    "transitions=136 pairs=272\n";
+
+constexpr char kGoldenTinySecure1000[] =
+    "1000 states, 4582 transitions, 41124 pairs, partial: "
+    "C1 0/11756 C2 0/655 C3 0/123372 C4 0/3927 C5 0/41124 C6 0/11756 => SEPARABLE\n"
+    "transitions=4582 pairs=41124\n";
+
+// The I/O defects: an input leak refuted by condition 3, an output leak by
+// condition 5, each up to the default budget of 16 violations.
+const std::string kGoldenTinyInputLeak =
+    "21632 states, 151424 transitions, 29 pairs, COMPLETE: "
+    "C1 0/21 C2 0/21632 C3 16/87 C4 0/129792 C5 0/29 C6 0/21 => VIOLATIONS\n"
+    "transitions=151424 pairs=29\n" +
+    Repeat("V c3 colour0 step0 input effect on colour 0 differs across Φ-equal states\n", 16);
+
+const std::string kGoldenTinyOutputLeak =
+    "5832 states, 40824 transitions, 1468 pairs, COMPLETE: "
+    "C1 0/372 C2 0/5832 C3 0/4404 C4 0/34992 C5 16/1468 C6 0/372 => VIOLATIONS\n"
+    "transitions=40824 pairs=1468\n" +
+    Repeat("V c5 colour0 step0 output of colour 0 differs across Φ-equal states\n", 16);
+
+// NEXTOP of the tiny system made to read the other colour's inbox: Φ-equal
+// states select different operations, which condition 6 refutes. Pins the
+// NEXTOP texts, rendered from interned operation words.
+class NextopLeak : public TinyTwoUserSystem {
+ public:
+  NextopLeak() : TinyTwoUserSystem(false) {}
+  std::unique_ptr<SharedSystem> Clone() const override {
+    return std::make_unique<NextopLeak>(*this);
+  }
+  OperationId NextOperation() const override {
+    const std::vector<Word> state = *FullState();  // [turn, counters, cells, inboxes, ...]
+    return OperationId{OperationId::Kind::kInstruction, {state[6 - state[0]]}};
+  }
+};
+
+const std::string kGoldenTinyNextopLeak = [] {
+  const std::string nextop = "V c6 colour0 step0 NEXTOP differs for Φ-equal states of colour 0: ";
+  return "3528 states, 24696 transitions, 43 pairs, COMPLETE: "
+         "C1 0/22 C2 0/3528 C3 0/129 C4 0/21168 C5 0/43 C6 16/22 => VIOLATIONS\n"
+         "transitions=24696 pairs=43\n" +
+         Repeat(nextop + "insn 0000 vs insn 0001\n" + nextop + "insn 0000 vs insn 0002\n", 7) +
+         nextop + "insn 0001 vs insn 0002\n" + nextop + "insn 0001 vs insn 0000\n";
+}();
+
+// The output leak with Φ made to see the pending output word: the unit
+// step's Φ, taken before the drain, differs across Φ-equal states (the
+// condition 3 "unit activity" check), and so does the output (condition 5).
+class PendingOutputInPhi : public TinyTwoUserSystem {
+ public:
+  PendingOutputInPhi() : TinyTwoUserSystem(false, TinyDefect::kOutputLeak) {}
+  std::unique_ptr<SharedSystem> Clone() const override {
+    return std::make_unique<PendingOutputInPhi>(*this);
+  }
+  void AppendAbstract(int colour, std::vector<Word>& out) const override {
+    TinyTwoUserSystem::AppendAbstract(colour, out);
+    const std::vector<Word> state = *FullState();  // [..., outs, has_outs]
+    out.push_back(state[9 + colour] != 0 ? state[7 + colour] : Word{4});
+  }
+};
+
+const std::string kGoldenTinyPendingOutput =
+    "5832 states, 40824 transitions, 1459 pairs, COMPLETE: "
+    "C1 0/371 C2 0/5832 C3 8/4377 C4 0/34992 C5 8/1459 C6 0/371 => VIOLATIONS\n"
+    "transitions=40824 pairs=1459\n" +
+    Repeat("V c3 colour0 step0 unit activity on colour 0 differs across Φ-equal states\n"
+           "V c5 colour0 step0 output of colour 0 differs across Φ-equal states\n",
+           8);
+
+// E16 at 2048 states.
+constexpr char kGoldenCycle2048[] =
+    "2048 states, 2048 transitions, 30166 pairs, partial: "
+    "C1 0/3584 C2 0/2048 C3 0/0 C4 0/0 C5 0/0 C6 0/3584 => SEPARABLE\n"
+    "transitions=2048 pairs=30166\n";
 
 TEST(StorageEquivalence, KernelizedGoodMatchesGolden) {
   auto system = BuildHalting();
@@ -131,8 +274,43 @@ TEST(StorageEquivalence, KernelizedSkipRestoreMatchesGolden) {
 }
 
 TEST(StorageEquivalence, TinySystemsMatchGolden) {
-  EXPECT_EQ(Check(TinyTwoUserSystem(false), 1), kGoldenTinySecure);
-  EXPECT_EQ(Check(TinyTwoUserSystem(true), 1), kGoldenTinyLeaky);
+  ExpectGolden(TinyTwoUserSystem(false), kGoldenTinySecure);
+  ExpectGolden(TinyTwoUserSystem(true), kGoldenTinyLeaky);
+}
+
+TEST(StorageEquivalence, ViolationBudgetInsideGroupMatchesGolden) {
+  ExhaustiveOptions options;
+  options.max_violations = 1;
+  ExpectGolden(TinyTwoUserSystem(true), kGoldenTinyLeakyBudget1, options);
+  options.max_violations = 3;
+  ExpectGolden(TinyTwoUserSystem(true), kGoldenTinyLeakyBudget3, options);
+}
+
+TEST(StorageEquivalence, FrontierRecordsMatchGolden) {
+  ExhaustiveOptions options;
+  options.max_states = 50;
+  ExpectGolden(TinyTwoUserSystem(false), kGoldenTinySecure50, options);
+  options.max_states = 1000;
+  ExpectGolden(TinyTwoUserSystem(false), kGoldenTinySecure1000, options);
+}
+
+TEST(StorageEquivalence, UnitDefectsMatchGolden) {
+  ExpectGolden(TinyTwoUserSystem(false, TinyDefect::kInputLeak), kGoldenTinyInputLeak);
+  ExpectGolden(TinyTwoUserSystem(false, TinyDefect::kOutputLeak), kGoldenTinyOutputLeak);
+}
+
+TEST(StorageEquivalence, NextopLeakMatchesGolden) {
+  ExpectGolden(NextopLeak(), kGoldenTinyNextopLeak);
+}
+
+TEST(StorageEquivalence, UnitStepPhiBeforeDrainMatchesGolden) {
+  ExpectGolden(PendingOutputInPhi(), kGoldenTinyPendingOutput);
+}
+
+TEST(StorageEquivalence, CycleConfigMatchesGolden) {
+  ExhaustiveOptions options;
+  options.max_states = 2048;
+  ExpectGolden(*BuildCycle(), kGoldenCycle2048, options);
 }
 
 TEST(StorageEquivalence, SchedulePerturbationKeepsReportsByteIdentical) {
