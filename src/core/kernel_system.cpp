@@ -106,8 +106,8 @@ void KernelizedSystem::PerturbOthers(int colour, Rng& rng) {
 bool KernelizedSystem::Finished() const { return machine_->halted(); }
 
 std::optional<std::vector<Word>> KernelizedSystem::FullState() const {
-  // Supported, but practical only for microscopic configurations: the
-  // serialization covers all of physical memory.
+  // The serialization covers all of physical memory: by default exactly the
+  // configuration's carve-out (SystemBuilder::Build).
   return machine_->SnapshotFull();
 }
 
@@ -127,13 +127,8 @@ std::size_t KernelizedSystem::Run(std::size_t max_steps) { return machine_->Run(
 
 // --- SystemBuilder -------------------------------------------------------------
 
-SystemBuilder::SystemBuilder() {
-  machine_config_.memory_words = 1u << 15;
-  next_base_ = 0;
-}
-
 SystemBuilder& SystemBuilder::WithMemoryWords(std::size_t words) {
-  machine_config_.memory_words = words;
+  memory_words_ = words;
   return *this;
 }
 
@@ -212,12 +207,19 @@ Result<std::unique_ptr<KernelizedSystem>> SystemBuilder::Build() {
     ring.data_base = ring_base;
     ring_base += ring.capacity;
   }
-  if (ring_base > machine_config_.memory_words) {
+  // Physical memory is exactly the carve-out unless WithMemoryWords fixed it.
+  MachineConfig machine_config;
+  machine_config.memory_words = memory_words_.value_or(ring_base);
+  if (ring_base > machine_config.memory_words) {
     return Err(Format("partitions exceed physical memory (%u words needed, %zu present)",
-                      ring_base, machine_config_.memory_words));
+                      ring_base, machine_config.memory_words));
+  }
+  if (machine_config.memory_words > machine_config.io_base) {
+    return Err(Format("physical memory (%zu words) overlaps the I/O page at %u",
+                      machine_config.memory_words, machine_config.io_base));
   }
 
-  auto machine = std::make_unique<Machine>(machine_config_);
+  auto machine = std::make_unique<Machine>(machine_config);
   for (auto& device : devices_) {
     machine->AddDevice(std::move(device));
   }

@@ -9,6 +9,7 @@
 #define SRC_CORE_KERNEL_SYSTEM_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,8 +74,9 @@ class KernelizedSystem : public SharedSystem {
 // boots the kernel and returns the ready system.
 class SystemBuilder {
  public:
-  SystemBuilder();
-
+  // Fixes the size of physical memory. By default Build() sizes it to the
+  // carve-out: the regime partitions, the kernel partition and the
+  // shared-ring windows, and nothing else.
   SystemBuilder& WithMemoryWords(std::size_t words);
 
   // Devices are added in machine slot order; returns the slot index.
@@ -106,7 +108,7 @@ class SystemBuilder {
   Result<std::unique_ptr<KernelizedSystem>> Build();
 
  private:
-  MachineConfig machine_config_;
+  std::optional<std::size_t> memory_words_;
   KernelConfig kernel_config_;
   std::vector<std::unique_ptr<Device>> devices_;
   struct Image {

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "src/base/hash.h"
 #include "src/base/types.h"
 #include "src/machine/isa.h"
 #include "src/machine/mmu.h"
@@ -77,13 +76,6 @@ struct CpuState {
   void set_pc(Word pc) { regs[kPc] = pc; }
   Word sp() const { return regs[kSp]; }
   void set_sp(Word sp) { regs[kSp] = sp; }
-
-  void AppendHash(Hasher& hasher) const {
-    for (Word r : regs) {
-      hasher.Mix(r);
-    }
-    hasher.Mix(psw.bits());
-  }
 
   bool operator==(const CpuState& other) const = default;
 };

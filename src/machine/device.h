@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/hash.h"
 #include "src/base/rng.h"
 #include "src/base/types.h"
 
@@ -129,13 +128,6 @@ class Device {
 
   std::size_t pending_output() const { return tx_to_env_.size(); }
   std::size_t pending_input() const { return rx_from_env_.size(); }
-
-  void AppendHash(Hasher& hasher) const {
-    hasher.MixBytes(name_);
-    for (Word w : SnapshotState()) {
-      hasher.Mix(w);
-    }
-  }
 
  protected:
   void RaiseInterrupt() { irq_ = true; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/base/hash.h"
 #include "src/base/logging.h"
 #include "src/machine/interp.h"
 #include "src/obs/metrics.h"
@@ -1349,15 +1350,9 @@ std::size_t Machine::Run(std::size_t max_steps) {
 }
 
 std::uint64_t Machine::StateHash() const {
-  Hasher h;
-  memory_.AppendHash(h);
-  mmu_.AppendHash(h);
-  cpu_.AppendHash(h);
-  for (const auto& dev : devices_) {
-    dev->AppendHash(h);
-  }
-  h.Mix(static_cast<std::uint64_t>(halted_)).Mix(static_cast<std::uint64_t>(waiting_));
-  return h.digest();
+  std::vector<Word> state;
+  SnapshotFullInto(state);
+  return HashWords(state.data(), state.size());
 }
 
 std::vector<Word> Machine::SnapshotFull() const {

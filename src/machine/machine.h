@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/hash.h"
 #include "src/base/types.h"
 #include "src/machine/cpu.h"
 #include "src/machine/device.h"
@@ -225,8 +224,9 @@ class Machine {
   std::uint64_t superblock_invalidations() const { return superblock_invalidations_; }
   std::size_t superblock_count() const { return superblocks_.size(); }
 
-  // Hash over the complete machine state (excluding the step counter, which
-  // is bookkeeping rather than architectural state).
+  // HashWords over SnapshotFull(): equal for two identically-configured
+  // machines iff (up to collisions) RestoreFull would make them equal. The
+  // step counter is bookkeeping, not architectural state, and is excluded.
   std::uint64_t StateHash() const;
 
   // Complete state serialization; two machines are architecturally equal iff

@@ -1,38 +1,30 @@
 // Physical memory for the SM-11.
 //
-// A flat 16-bit-word address space backed by copy-on-write pages: the words
-// live in fixed-size page blocks held through shared_ptr, so cloning a
-// memory (and therefore a whole Machine) copies page *references*, not
-// words. A store first checks whether the page is exclusively owned and
-// copies it only when it is shared — the Proof-of-Separability checker
-// clones machines per explored transition, and almost all pages of those
-// clones are never written. The memory itself enforces nothing — all
-// protection comes from the MMU — but reads and writes are bounds-checked so
-// that simulator bugs surface as hard errors rather than silent corruption.
-// The per-word Read/Write checks are debug-only (SEP_DCHECK): they sit on the
-// interpreter's innermost path and every caller in the machine already guards
-// with InRange(); bulk operations keep the always-on SEP_CHECK.
+// One flat array of 16-bit words, sized to the configuration: a kernelized
+// machine gets exactly the words its regime partitions, kernel partition and
+// shared-ring windows carve out (SystemBuilder::Build), as in the SUE, where
+// each regime is permanently allocated a fixed partition of real memory.
+// Copying a memory (and so Machine::Clone) copies the words. The memory
+// enforces nothing — all protection comes from the MMU. The per-word
+// Read/Write bounds checks are debug-only (SEP_DCHECK): they sit on the
+// interpreter's innermost path and every caller in the machine already
+// guards with InRange(); bulk operations keep the always-on SEP_CHECK.
 //
-// Write-generation tracking: every mutation bumps a global generation counter
-// and a per-page version (pages of 2^kVersionPageShift words). The machine's
-// predecoded-instruction cache validates entries against the page versions,
-// so self-modifying code and kernel loads invalidate exactly the affected
-// pages (see docs/PERFORMANCE.md). Versions are bookkeeping, not
-// architectural state: they are excluded from hashing and equality, and a
-// copy-on-write page copy does NOT bump them (the content is unchanged).
-// The version table is independent of the COW page granularity and never
-// reallocates, so hot loops may cache its pointer.
+// Write tracking: every mutation bumps the version of its 64-word page. The
+// machine's predecoded-instruction cache validates entries against those
+// versions, so self-modifying code and kernel loads invalidate exactly the
+// affected pages (see docs/PERFORMANCE.md). Versions are bookkeeping, not
+// architectural state: they are excluded from equality, and RestoreWords
+// bumps only the pages whose content changes.
 #ifndef SRC_MACHINE_MEMORY_H_
 #define SRC_MACHINE_MEMORY_H_
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "src/base/hash.h"
 #include "src/base/logging.h"
 #include "src/base/types.h"
 
@@ -46,104 +38,73 @@ class PhysicalMemory {
   static constexpr int kVersionPageShift = 6;
   static constexpr std::size_t kVersionPageWords = std::size_t{1} << kVersionPageShift;
 
-  // Copy-on-write granularity: 256 words (512 bytes) balances sharing
-  // (fine enough that a regime's working set leaves the rest of memory
-  // shared) against per-clone bookkeeping (coarse enough that the page
-  // table stays small).
-  static constexpr int kCowPageShift = 8;
-  static constexpr std::size_t kCowPageWords = std::size_t{1} << kCowPageShift;
-
   explicit PhysicalMemory(std::size_t words)
-      : size_(words),
-        pages_((words + kCowPageWords - 1) / kCowPageWords, ZeroPage()),
-        versions_(words / kVersionPageWords + 1, 1) {}
+      : words_(words, 0), versions_(words / kVersionPageWords + 1, 1) {}
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return words_.size(); }
 
   Word Read(PhysAddr addr) const {
-    SEP_DCHECK(addr < size_);
-    return pages_[addr >> kCowPageShift]->words[addr & (kCowPageWords - 1)];
+    SEP_DCHECK(addr < words_.size());
+    return words_[addr];
   }
 
   void Write(PhysAddr addr, Word value) {
-    SEP_DCHECK(addr < size_);
-    MutablePage(addr >> kCowPageShift).words[addr & (kCowPageWords - 1)] = value;
-    Touch(addr);
+    SEP_DCHECK(addr < words_.size());
+    words_[addr] = value;
+    ++versions_[addr >> kVersionPageShift];
   }
 
-  bool InRange(PhysAddr addr) const { return addr < size_; }
+  bool InRange(PhysAddr addr) const { return addr < words_.size(); }
 
   // Bulk load used by program loaders; addresses beyond the end are an error.
   // Bounds are checked by subtraction so a large `base` cannot wrap the sum.
   void LoadImage(PhysAddr base, const std::vector<Word>& image) {
-    SEP_CHECK(base <= size_ && image.size() <= size_ - base);
-    CopyIn(base, image.data(), image.size());
+    SEP_CHECK(base <= size() && image.size() <= size() - base);
+    std::copy(image.begin(), image.end(), words_.begin() + base);
     TouchRange(base, image.size());
   }
 
   void Fill(PhysAddr base, std::size_t count, Word value) {
-    SEP_CHECK(base <= size_ && count <= size_ - base);
-    std::size_t i = 0;
-    while (i < count) {
-      const PhysAddr addr = base + static_cast<PhysAddr>(i);
-      Page& page = MutablePage(addr >> kCowPageShift);
-      const std::size_t offset = addr & (kCowPageWords - 1);
-      const std::size_t run = std::min(count - i, kCowPageWords - offset);
-      for (std::size_t k = 0; k < run; ++k) {
-        page.words[offset + k] = value;
-      }
-      i += run;
-    }
+    SEP_CHECK(base <= size() && count <= size() - base);
+    std::fill_n(words_.begin() + base, count, value);
     TouchRange(base, count);
   }
 
   // Serializes the whole memory by appending to `out` (the checker's
   // FullState path; avoids a fresh allocation per snapshot).
   void AppendTo(std::vector<Word>& out) const {
-    out.reserve(out.size() + size_);
-    ForEachRun(0, size_, [&](const Word* run, std::size_t n) {
-      out.insert(out.end(), run, run + n);
-    });
+    out.insert(out.end(), words_.begin(), words_.end());
   }
 
-  // Overwrites the whole memory from a flat image, bumping versions only for
-  // the 64-word version pages whose content actually changes — so restoring
-  // a state the machine is already in is version-neutral and predecoded
-  // code whose bytes are unchanged stays valid. Pages whose full content is
-  // unchanged stay shared (no copy-on-write fault).
+  // Overwrites the whole memory from a flat image, copying — and bumping the
+  // version of — only the 64-word version pages whose content actually
+  // changes. Restoring a state the machine is already in is therefore
+  // version-neutral, and predecoded code whose bytes are unchanged stays
+  // valid. A restored image mostly matches the current content, so it is
+  // scanned in 256-word blocks and diffed page by page only inside a block
+  // that differs: one compare per page costs the checker's restores more.
   void RestoreWords(std::span<const Word> image) {
-    SEP_CHECK(image.size() == size_);
-    bool changed = false;
-    for (std::size_t page = 0; page < pages_.size(); ++page) {
-      const std::size_t base = page * kCowPageWords;
-      const std::size_t count = std::min(kCowPageWords, size_ - base);
-      const Word* src = image.data() + base;
-      const Word* cur = pages_[page]->words.data();
-      if (std::memcmp(cur, src, count * sizeof(Word)) == 0) {
+    SEP_CHECK(image.size() == size());
+    constexpr std::size_t kScanWords = 4 * kVersionPageWords;
+    for (std::size_t block = 0; block < size(); block += kScanWords) {
+      const std::size_t end = std::min(block + kScanWords, size());
+      if (std::memcmp(words_.data() + block, image.data() + block,
+                      (end - block) * sizeof(Word)) == 0) {
         continue;
       }
-      changed = true;
-      // Bump versions at the finer version-page granularity before the
-      // coarse copy clobbers the old content.
-      for (std::size_t sub = 0; sub < count; sub += kVersionPageWords) {
-        const std::size_t run = std::min(kVersionPageWords, count - sub);
-        if (std::memcmp(cur + sub, src + sub, run * sizeof(Word)) != 0) {
-          ++versions_[(base + sub) >> kVersionPageShift];
+      for (std::size_t base = block; base < end; base += kVersionPageWords) {
+        const std::size_t count = std::min(kVersionPageWords, end - base);
+        Word* cur = words_.data() + base;
+        const Word* src = image.data() + base;
+        if (std::memcmp(cur, src, count * sizeof(Word)) != 0) {
+          std::memcpy(cur, src, count * sizeof(Word));
+          ++versions_[base >> kVersionPageShift];
         }
       }
-      Page& dst = MutablePage(page);
-      std::memcpy(dst.words.data(), src, count * sizeof(Word));
-    }
-    if (changed) {
-      ++generation_;
     }
   }
 
-  // --- write-generation tracking (predecode-cache invalidation) ---
-
-  // Monotone counter bumped by every mutation; cheap whole-memory staleness
-  // signal.
-  std::uint64_t generation() const { return generation_; }
+  // --- write tracking (predecode-cache invalidation) ---
 
   // Version of the page containing `addr`; never 0 (cache code uses 0 as
   // "no entry").
@@ -164,134 +125,20 @@ class PhysicalMemory {
   // steps instead of re-walking the vector.
   const std::uint64_t* version_data() const { return versions_.data(); }
 
-  void AppendHash(Hasher& hasher) const {
-    hasher.Mix(size_);
-    ForEachRun(0, size_, [&](const Word* run, std::size_t n) {
-      for (std::size_t i = 0; i < n; ++i) {
-        hasher.Mix(run[i]);
-      }
-    });
-  }
-
-  // Hash of a subrange; used by per-regime abstraction functions.
-  std::uint64_t HashRange(PhysAddr base, std::size_t count) const {
-    Hasher h;
-    ForEachRun(base, count, [&](const Word* run, std::size_t n) {
-      for (std::size_t i = 0; i < n; ++i) {
-        h.Mix(run[i]);
-      }
-    });
-    return h.digest();
-  }
-
   std::vector<Word> SnapshotRange(PhysAddr base, std::size_t count) const {
-    SEP_CHECK(base <= size_ && count <= size_ - base);
-    std::vector<Word> out;
-    out.reserve(count);
-    ForEachRun(base, count, [&](const Word* run, std::size_t n) {
-      out.insert(out.end(), run, run + n);
-    });
-    return out;
+    SEP_CHECK(base <= size() && count <= size() - base);
+    return std::vector<Word>(words_.begin() + base, words_.begin() + base + count);
   }
 
   // Architectural equality is over the stored words only; version counters
-  // record mutation history, not state. Shared pages compare by pointer.
-  bool operator==(const PhysicalMemory& other) const {
-    if (size_ != other.size_) {
-      return false;
-    }
-    for (std::size_t page = 0; page < pages_.size(); ++page) {
-      if (pages_[page] == other.pages_[page]) {
-        continue;
-      }
-      const std::size_t base = page * kCowPageWords;
-      const std::size_t count = std::min(kCowPageWords, size_ - base);
-      if (std::memcmp(pages_[page]->words.data(), other.pages_[page]->words.data(),
-                      count * sizeof(Word)) != 0) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  // Number of COW pages this memory does not share with any other holder
-  // (diagnostics: a freshly cloned memory reports 0).
-  std::size_t PrivatePageCount() const {
-    std::size_t owned = 0;
-    for (const auto& page : pages_) {
-      if (page.use_count() == 1) {
-        ++owned;
-      }
-    }
-    return owned;
-  }
+  // record mutation history, not state.
+  bool operator==(const PhysicalMemory& other) const { return words_ == other.words_; }
 
  private:
-  struct Page {
-    std::array<Word, kCowPageWords> words;
-  };
-
-  // All-zero page shared by every freshly constructed memory. The static
-  // reference keeps its use_count above 1 forever, so MutablePage can never
-  // consider it exclusively owned and write into it.
-  static const std::shared_ptr<Page>& ZeroPage() {
-    static const std::shared_ptr<Page> kZero = [] {
-      auto page = std::make_shared<Page>();
-      page->words.fill(0);
-      return page;
-    }();
-    return kZero;
-  }
-
-  // The copy-on-write fault: pages written while shared are copied first.
-  // use_count() is an atomic load; a page observed exclusive cannot gain
-  // holders concurrently, because every other holder would have to copy from
-  // *this* memory object, and concurrent mutation of one PhysicalMemory is
-  // already a data race by contract (clones of it are independent).
-  Page& MutablePage(std::size_t page_index) {
-    std::shared_ptr<Page>& slot = pages_[page_index];
-    if (slot.use_count() != 1) {
-      slot = std::make_shared<Page>(*slot);
-    }
-    return *slot;
-  }
-
-  void CopyIn(PhysAddr base, const Word* src, std::size_t count) {
-    std::size_t i = 0;
-    while (i < count) {
-      const PhysAddr addr = base + static_cast<PhysAddr>(i);
-      Page& page = MutablePage(addr >> kCowPageShift);
-      const std::size_t offset = addr & (kCowPageWords - 1);
-      const std::size_t run = std::min(count - i, kCowPageWords - offset);
-      std::memcpy(page.words.data() + offset, src + i, run * sizeof(Word));
-      i += run;
-    }
-  }
-
-  // Invokes fn(run_pointer, run_length) over the contiguous page segments of
-  // [base, base + count).
-  template <typename Fn>
-  void ForEachRun(PhysAddr base, std::size_t count, Fn&& fn) const {
-    std::size_t i = 0;
-    while (i < count) {
-      const PhysAddr addr = base + static_cast<PhysAddr>(i);
-      const std::size_t offset = addr & (kCowPageWords - 1);
-      const std::size_t run = std::min(count - i, kCowPageWords - offset);
-      fn(pages_[addr >> kCowPageShift]->words.data() + offset, run);
-      i += run;
-    }
-  }
-
-  void Touch(PhysAddr addr) {
-    ++generation_;
-    ++versions_[addr >> kVersionPageShift];
-  }
-
   void TouchRange(PhysAddr base, std::size_t count) {
     if (count == 0) {
       return;
     }
-    ++generation_;
     const std::size_t first = base >> kVersionPageShift;
     const std::size_t last = (base + count - 1) >> kVersionPageShift;
     for (std::size_t page = first; page <= last; ++page) {
@@ -299,10 +146,8 @@ class PhysicalMemory {
     }
   }
 
-  std::size_t size_;
-  std::vector<std::shared_ptr<Page>> pages_;
+  std::vector<Word> words_;
   std::vector<std::uint64_t> versions_;
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace sep

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "src/base/hash.h"
 #include "src/base/types.h"
 
 namespace sep {
@@ -97,14 +96,6 @@ class Mmu {
   void DisableAll(CpuMode mode) {
     for (auto& pr : regs_[static_cast<int>(mode)]) {
       pr = PageRegister{};
-    }
-  }
-
-  void AppendHash(Hasher& hasher) const {
-    for (const auto& mode_regs : regs_) {
-      for (const PageRegister& pr : mode_regs) {
-        hasher.Mix(pr.base).Mix(pr.length).Mix(static_cast<std::uint64_t>(pr.access));
-      }
     }
   }
 

@@ -40,6 +40,17 @@ TEST(CliValidation, Sm11RunRejectsBadNumbers) {
   EXPECT_EQ(RunTool(Tool("sm11run")), 2);  // no program
 }
 
+TEST(CliValidation, Sm11RunDumpSkipsAddressesPastMemory) {
+  // Bare mode runs on a 32768-word machine, but --dump accepts any 16-bit
+  // ADDR and a COUNT up to 65536: words beyond the end are skipped, as
+  // regime mode skips words outside the partition.
+  const std::string program = testing::TempDir() + "/halt.s";
+  std::ofstream(program) << "HALT\n";
+  EXPECT_EQ(RunTool(Tool("sm11run") + " --dump 0x7FFE 4 " + program + " </dev/null"), 0);
+  EXPECT_EQ(RunTool(Tool("sm11run") + " --dump 0 65536 " + program + " </dev/null"), 0);
+  EXPECT_EQ(RunTool(Tool("sm11run") + " --regime --dump 0xFFFF 2 " + program + " </dev/null"), 0);
+}
+
 TEST(CliValidation, Sm11RunValidatesSuperblockFlag) {
   // Strict on|off: anything else is a usage error, and a missing value must
   // not silently swallow the program path.

@@ -120,7 +120,9 @@ int RunBare(const sep::AssembledProgram& program, const Options& options) {
   if (options.dump) {
     for (unsigned i = 0; i < options.dump_count; ++i) {
       const unsigned addr = options.dump_addr + i;
-      std::printf("%06o: %06o\n", addr, machine.memory().Read(addr));
+      if (machine.memory().InRange(addr)) {
+        std::printf("%06o: %06o\n", addr, machine.memory().Read(addr));
+      }
     }
   }
   return machine.halted() ? 0 : 3;
