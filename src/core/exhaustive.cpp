@@ -15,7 +15,6 @@
 #include "src/base/logging.h"
 #include "src/base/strings.h"
 #include "src/base/thread_pool.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace sep {
@@ -372,31 +371,11 @@ class ExhaustiveRun {
     report_.peak_state_bytes = store_->bytes();
     report_.shard_max_load = store_->shard_max_load();
     report_.worker_expanded.resize(scratch_.size());
+    report_.worker_restores.resize(scratch_.size());
     for (std::size_t w = 0; w < scratch_.size(); ++w) {
       report_.restore_count += scratch_[w].restores;
       report_.worker_expanded[w] = scratch_[w].expanded;
-    }
-    // Gauges are always on (like every other module's counters); only the
-    // trace recorder is gated by obs::Enabled().
-    obs::Metrics().GetGauge("exhaustive.states").Set(report_.states_explored);
-    obs::Metrics().GetGauge("exhaustive.transitions").Set(report_.transitions);
-    obs::Metrics().GetGauge("exhaustive.pairs_checked").Set(report_.pairs_checked);
-    obs::Metrics().GetGauge("exhaustive.restore_count").Set(report_.restore_count);
-    obs::Metrics().GetGauge("exhaustive.peak_state_bytes").Set(report_.peak_state_bytes);
-    obs::Metrics().GetGauge("exhaustive.shard_max_load").Set(report_.shard_max_load);
-    // Per-worker counters expose load balance across the pool, and the phase
-    // times where the wall time went; they are the only schedule-dependent
-    // numbers the checker exports.
-    obs::Metrics().GetGauge("exhaustive.explore_ns").Set(report_.explore_ns);
-    obs::Metrics().GetGauge("exhaustive.frontier_ns").Set(report_.frontier_ns);
-    obs::Metrics().GetGauge("exhaustive.class_check_ns").Set(report_.class_check_ns);
-    for (std::size_t w = 0; w < scratch_.size(); ++w) {
-      obs::Metrics()
-          .GetGauge(Format("exhaustive.worker%zu.expanded", w))
-          .Set(report_.worker_expanded[w]);
-      obs::Metrics()
-          .GetGauge(Format("exhaustive.worker%zu.restores", w))
-          .Set(scratch_[w].restores);
+      report_.worker_restores[w] = scratch_[w].restores;
     }
     return std::move(report_);
   }

@@ -84,14 +84,13 @@ struct ExhaustiveReport {
   // Always 0: the checker no longer steals work. Kept for existing readers.
   std::uint64_t steal_count = 0;
   std::size_t shard_max_load = 0;  // most populated state shard
-  // States expanded by each pool worker. Schedule-dependent, like the phase
-  // times below; also exported as `exhaustive.workerN.expanded` gauges.
+  // States expanded and restores made by each pool worker.
+  // Schedule-dependent, like the phase times below.
   std::vector<std::uint64_t> worker_expanded;
+  std::vector<std::uint64_t> worker_restores;
   // Wall-clock nanoseconds of each phase: exploration (with the records of
   // expanded states), the records of a truncated run's frontier, and the
-  // class checks. Diagnostics, not in Summary(); exported as
-  // `exhaustive.explore_ns`, `exhaustive.frontier_ns` and
-  // `exhaustive.class_check_ns` gauges.
+  // class checks. Diagnostics, not in Summary().
   std::int64_t explore_ns = 0;
   std::int64_t frontier_ns = 0;
   std::int64_t class_check_ns = 0;

@@ -3,29 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/obs/metrics.h"
-
 namespace sep {
-
-namespace {
-
-// Kernel-node recovery observability. Counters only — deliberately no trace
-// events: the committed log must contain exactly the events a crash-free
-// run would produce, so the supervisor never injects events of its own.
-obs::Counter& CrashCounter() {
-  static obs::Counter& c = obs::Metrics().GetCounter("core.node_crashes");
-  return c;
-}
-obs::Counter& RestoreCounter() {
-  static obs::Counter& c = obs::Metrics().GetCounter("core.node_restores");
-  return c;
-}
-obs::Counter& RecoveryTicksCounter() {
-  static obs::Counter& c = obs::Metrics().GetCounter("core.recovery_ticks");
-  return c;
-}
-
-}  // namespace
 
 KernelNodeSupervisor::KernelNodeSupervisor(KernelizedSystem& system, Options options)
     : system_(system), options_(options) {
@@ -84,9 +62,7 @@ bool KernelNodeSupervisor::Crash() {
   DrainIntoStaging();
   staging_.clear();
   ++stats_.crashes;
-  CrashCounter().Add();
   stats_.lost_steps += steps_since_checkpoint_;
-  RecoveryTicksCounter().Add(steps_since_checkpoint_);
   steps_since_checkpoint_ = 0;
 
   const bool cold = !checkpoint_.has_value();
@@ -99,7 +75,6 @@ bool KernelNodeSupervisor::Crash() {
   } else {
     ++stats_.warm_restores;
   }
-  RestoreCounter().Add();
   return true;
 }
 

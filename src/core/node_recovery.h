@@ -47,6 +47,8 @@ class KernelNodeSupervisor {
  public:
   using Options = KernelNodeOptions;
 
+  // The supervisor's own observability: counters only, never trace events,
+  // so the committed log holds exactly what a crash-free run would emit.
   struct Stats {
     std::uint64_t checkpoints = 0;
     std::uint64_t crashes = 0;

@@ -1,6 +1,5 @@
 #include "src/distributed/faults.h"
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace sep {
@@ -17,10 +16,8 @@ enum FaultKind : Word {
 };
 
 void NoteFault(FaultKind kind, std::uint64_t offered, Word detail = 0) {
-  static obs::Counter& injected = obs::Metrics().GetCounter("net.faults_injected");
   obs::Emit(obs::Category::kNet, obs::Code::kNetFaultInjected, obs::kColourKernel, offered,
             static_cast<Word>(kind), detail);
-  injected.Add();
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/base/strings.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace sep {
@@ -12,19 +11,13 @@ namespace sep {
 namespace {
 
 void NoteCrash(int node, Tick now, Tick restart_delay) {
-  static obs::Counter& crashes = obs::Metrics().GetCounter("net.node_crashes");
-  crashes.Add();
   if (obs::Enabled()) {
     obs::Emit(obs::Category::kNet, obs::Code::kNetNodeCrash, obs::kColourKernel, now,
               static_cast<Word>(node), static_cast<Word>(restart_delay & 0xFFFF));
   }
 }
 
-void NoteRestore(int node, Tick now, bool cold, Tick lost_ticks) {
-  static obs::Counter& restores = obs::Metrics().GetCounter("net.node_restores");
-  static obs::Counter& recovery = obs::Metrics().GetCounter("net.recovery_ticks");
-  restores.Add();
-  recovery.Add(lost_ticks);
+void NoteRestore(int node, Tick now, bool cold) {
   if (obs::Enabled()) {
     obs::Emit(obs::Category::kNet, obs::Code::kNetNodeRestore, obs::kColourKernel, now,
               static_cast<Word>(node), cold ? 1 : 0);
@@ -232,7 +225,7 @@ void Network::RestartNode(Node& node, int index) {
                         : 0;
   node.status.last_recovery_ticks = lost;
   recovery_log_.push_back(NodeRecoveryEvent{index, node.status.crashed_at, now_, lost, cold});
-  NoteRestore(index, now_, cold, lost);
+  NoteRestore(index, now_, cold);
 }
 
 void Network::TakeCheckpoint(Node& node) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/base/hash.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace sep {
@@ -72,10 +71,6 @@ void ReliableSender::RetransmitWindow() {
   for (const Segment& segment : window_) {
     SerializeSegment(segment);
     ++stats_.retransmits;
-  }
-  if (obs::Enabled() && !window_.empty()) {
-    static obs::Counter& retransmits = obs::Metrics().GetCounter("net.retransmits");
-    retransmits.Add(window_.size());
   }
 }
 
@@ -255,10 +250,8 @@ void ReliableSender::Pump(NodeContext& ctx, int data_out_port, int ack_in_port) 
     dup_acks_ = 0;
     ++stats_.fast_retransmits;
     if (obs::Enabled()) {
-      static obs::Counter& fast = obs::Metrics().GetCounter("net.fast_retransmits");
       obs::Emit(obs::Category::kNet, obs::Code::kNetRetransmit, obs::kColourKernel, ctx.now(),
                 static_cast<Word>(window_.size()), window_.front().seq);
-      fast.Add();
     }
     RetransmitWindow();
     deadline_ = ctx.now() + rto_;
@@ -269,18 +262,12 @@ void ReliableSender::Pump(NodeContext& ctx, int data_out_port, int ack_in_port) 
     ++stats_.timeouts;
     ++retries_;
     if (obs::Enabled()) {
-      static obs::Counter& timeouts = obs::Metrics().GetCounter("net.timeouts");
       obs::Emit(obs::Category::kNet, obs::Code::kNetTimeout, obs::kColourKernel, ctx.now(),
                 static_cast<Word>(retries_), window_.front().seq);
-      timeouts.Add();
     }
     if (config_.max_retries > 0 && retries_ > config_.max_retries) {
       dead_ = true;
       stats_.gave_up = 1;
-      if (obs::Enabled()) {
-        static obs::Counter& gave_up = obs::Metrics().GetCounter("net.gave_up");
-        gave_up.Add();
-      }
       tx_queue_.clear();
       return;
     }

@@ -2,32 +2,9 @@
 
 #include "src/base/logging.h"
 #include "src/base/strings.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace sep {
-
-namespace {
-
-// Counter references resolve once; bumps are relaxed atomics, and every
-// site is behind obs::Enabled() so a run without observability pays one
-// relaxed load + branch per kernel entry, nothing more.
-struct KernelCounters {
-  obs::Counter& calls = obs::Metrics().GetCounter("kernel.calls");
-  obs::Counter& swaps = obs::Metrics().GetCounter("kernel.swaps");
-  obs::Counter& irq_forwards = obs::Metrics().GetCounter("kernel.irq_forwards");
-  obs::Counter& irq_delivers = obs::Metrics().GetCounter("kernel.irq_delivers");
-  obs::Counter& faults = obs::Metrics().GetCounter("kernel.faults");
-  obs::Counter& mmu_remaps = obs::Metrics().GetCounter("kernel.mmu_remaps");
-  obs::Counter& channel_stalls = obs::Metrics().GetCounter("kernel.channel_stall");
-};
-
-KernelCounters& Counters() {
-  static KernelCounters counters;
-  return counters;
-}
-
-}  // namespace
 
 SeparationKernel::SeparationKernel(Machine& machine, KernelConfig config)
     : machine_(machine), config_(std::move(config)) {}
@@ -188,10 +165,10 @@ void SeparationKernel::SaveCurrentContext() {
 void SeparationKernel::ProgramMmuFor(int regime) {
   // Colour kColourKernel: reprogramming the map is kernel bookkeeping in
   // nobody's abstract view (the regime never observes its own page table).
+  ++mmu_remaps_;
   if (obs::Enabled()) {
     obs::Emit(obs::Category::kKernel, obs::Code::kMmuRemap, obs::kColourKernel,
               machine_.tick(), static_cast<Word>(regime));
-    Counters().mmu_remaps.Add();
   }
   const RegimeConfig& rc = config_.regimes[static_cast<std::size_t>(regime)];
   Mmu& mmu = machine_.mmu();
@@ -325,7 +302,6 @@ void SeparationKernel::DispatchNext(int start_from) {
       if (obs::Enabled()) {
         obs::Emit(obs::Category::kKernel, obs::Code::kDispatch, obs::kColourKernel,
                   machine_.tick(), static_cast<Word>(candidate));
-        Counters().swaps.Add();
       }
       RestoreContext(candidate);
       return;
@@ -391,10 +367,10 @@ void SeparationKernel::DeliverPendingInterrupt(int regime) {
   // Delivery happens only at points anchored to the regime's own execution
   // (its AWAIT/RETI calls, its resume from AWAIT), so this event IS part of
   // the regime's canonical per-colour trace — unlike the forward below.
+  ++irq_delivers_;
   if (obs::Enabled()) {
     obs::Emit(obs::Category::kKernel, obs::Code::kIrqDeliver, regime, machine_.tick(),
               static_cast<Word>(local), vector);
-    Counters().irq_delivers.Add();
   }
 
   SaveWrite(regime, kSavePending, static_cast<Word>(pending & ~(1u << local)));
@@ -417,7 +393,6 @@ void SeparationKernel::OnInterrupt(int device_index) {
   if (obs::Enabled()) {
     obs::Emit(obs::Category::kKernel, obs::Code::kIrqForward, owner, machine_.tick(),
               static_cast<Word>(local));
-    Counters().irq_forwards.Add();
   }
   SaveWrite(owner, kSavePending,
             static_cast<Word>(SaveRead(owner, kSavePending) | (1u << local)));
@@ -464,7 +439,6 @@ void SeparationKernel::OnTrap(const TrapInfo& info) {
   if (obs::Enabled()) {
     obs::Emit(obs::Category::kKernel, obs::Code::kKernelCall, CurrentRegime(),
               machine_.tick(), info.code, machine_.cpu().regs[0]);
-    Counters().calls.Add();
   }
   switch (info.code) {
     case kCallSwap:
@@ -522,7 +496,6 @@ void SeparationKernel::FaultRegime(const std::string& reason) {
   Bump64(kOffFaultCountLo);
   if (obs::Enabled()) {
     obs::Emit(obs::Category::kKernel, obs::Code::kRegimeFault, cur, machine_.tick());
-    Counters().faults.Add();
   }
   SaveWrite(cur, kSaveFlags, static_cast<Word>(SaveRead(cur, kSaveFlags) | kFlagHalted));
   DispatchNext(cur + 1);
@@ -599,10 +572,10 @@ void SeparationKernel::RingPopBatch(std::uint32_t ring_base, std::uint32_t capac
 }
 
 void SeparationKernel::NoteChannelStall(Word id, Word requested) {
+  ++channel_stalls_;
   if (obs::Enabled()) {
     obs::Emit(obs::Category::kKernel, obs::Code::kChannelStall, CurrentRegime(),
               machine_.tick(), id, requested);
-    Counters().channel_stalls.Add();
   }
 }
 

@@ -26,7 +26,8 @@
 // Like SUE's PDP-11 core image, ALL dynamic kernel state (current regime,
 // register save areas, pending-interrupt masks, channel rings) lives inside
 // the machine's physical memory, in the kernel's own partition. The C++
-// object holds only immutable configuration. Cloning the machine and
+// object holds only immutable configuration, plus three diagnostic counters
+// that nothing the kernel does ever reads back. Cloning the machine and
 // attaching an identically-configured kernel therefore reproduces behaviour
 // exactly — which is what lets the Proof-of-Separability checker treat
 // "machine state" as the complete concrete state.
@@ -78,12 +79,21 @@ class SeparationKernel : public MachineClient {
   }
   Word RegimePendingMask(int regime) const { return SaveRead(regime, kSavePending); }
 
+  // Kernel-partition counter words: machine state, so they roll back with
+  // RestoreFull.
   std::uint64_t SwapCount() const { return Count64(kOffSwapCountLo); }
   std::uint64_t IrqForwardCount() const { return Count64(kOffIrqForwardLo); }
   std::uint64_t KernelCallCount() const { return Count64(kOffKernelCallLo); }
   // Regimes halted by the kernel's defensive checks (malformed call
   // arguments, corrupted channel rings, MMU/illegal-instruction faults).
   std::uint64_t FaultCount() const { return Count64(kOffFaultCountLo); }
+
+  // Member counters: the work this kernel object did since construction.
+  // Not machine state — never cloned, hashed, snapshotted or restored.
+  std::uint64_t IrqDeliverCount() const { return irq_delivers_; }
+  std::uint64_t MmuRemapCount() const { return mmu_remaps_; }
+  // Send-side calls rejected for want of room (see NoteChannelStall).
+  std::uint64_t ChannelStallCount() const { return channel_stalls_; }
 
   // Channel occupancy of the ring the given end uses (0 = sender, 1 = recv).
   Word ChannelCount(int channel, int end) const;
@@ -229,6 +239,9 @@ class SeparationKernel : public MachineClient {
   Machine& machine_;
   KernelConfig config_;
   bool booted_ = false;
+  std::uint64_t irq_delivers_ = 0;
+  std::uint64_t mmu_remaps_ = 0;
+  std::uint64_t channel_stalls_ = 0;
 };
 
 }  // namespace sep

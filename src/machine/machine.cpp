@@ -5,7 +5,6 @@
 #include "src/base/hash.h"
 #include "src/base/logging.h"
 #include "src/machine/interp.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace sep {
@@ -227,14 +226,6 @@ std::uint8_t ClassifyForm(const DecodedInsn& insn) {
 
 Machine::Machine(const MachineConfig& config) : config_(config), memory_(config.memory_words) {
   SEP_CHECK(config.io_base >= config.memory_words);
-  // The superblock counters only bump inside Run's threaded batches, never
-  // under Step() or the checker's phase-by-phase driving; register them
-  // eagerly (registration is independent of the obs enable flag) so the
-  // metrics inventory is the same in every deployment — a dump of a run
-  // that never batched reports them as 0 rather than omitting them.
-  obs::Metrics().GetCounter("machine.superblock_builds");
-  obs::Metrics().GetCounter("machine.superblock_side_exits");
-  obs::Metrics().GetCounter("machine.superblock_invalidations");
 }
 
 std::unique_ptr<Machine> Machine::Clone() const {
@@ -319,13 +310,12 @@ void Machine::HardwareVector(PhysAddr vector) {
 }
 
 void Machine::DispatchTrap(const TrapInfo& info) {
+  ++traps_;
   if (obs::Enabled()) {
-    static obs::Counter& traps = obs::Metrics().GetCounter("machine.traps");
     obs::Emit(obs::Category::kMachine, obs::Code::kMachineTrap, obs::kColourKernel, tick_,
               static_cast<Word>(info.kind),
               info.kind == TrapInfo::Kind::kMmuFault ? static_cast<Word>(info.fault_addr)
                                                      : static_cast<Word>(info.code));
-    traps.Add();
   }
   if (client_ != nullptr) {
     client_->OnTrap(info);
@@ -405,13 +395,12 @@ StepEvent Machine::DeliverOrExecute() {
     devices_[irq]->ClearInterrupt();
     event.kind = StepEvent::Kind::kInterrupt;
     event.device = irq;
+    ++interrupts_;
     if (obs::Enabled()) {
-      static obs::Counter& interrupts = obs::Metrics().GetCounter("machine.interrupts");
       const RegimeId owner = devices_[irq]->owner();
       obs::Emit(obs::Category::kMachine, obs::Code::kMachineIrq,
                 owner == kNoRegime ? obs::kColourKernel : static_cast<int>(owner), tick_,
                 static_cast<Word>(irq));
-      interrupts.Add();
     }
     if (client_ != nullptr) {
       client_->OnInterrupt(irq);
@@ -490,11 +479,8 @@ void Machine::InvalidateSuperblock(Superblock* sb) {
   entry->heat = 0;
   ++superblock_invalidations_;
   if (obs::Enabled()) {
-    static obs::Counter& invalidations =
-        obs::Metrics().GetCounter("machine.superblock_invalidations");
     obs::Emit(obs::Category::kMachine, obs::Code::kSuperblockInvalidate, obs::kColourKernel,
               tick_, sb->entry_pc);
-    invalidations.Add();
   }
   const std::uint32_t slot = sb->slot;
   if (slot + 1 != superblocks_.size()) {
@@ -510,11 +496,8 @@ void Machine::InvalidateAllSuperblocks() {
   }
   superblock_invalidations_ += superblocks_.size();
   if (obs::Enabled()) {
-    static obs::Counter& invalidations =
-        obs::Metrics().GetCounter("machine.superblock_invalidations");
     obs::Emit(obs::Category::kMachine, obs::Code::kSuperblockInvalidate, obs::kColourKernel,
               tick_, static_cast<Word>(superblocks_.size()));
-    invalidations.Add(superblocks_.size());
   }
   for (const auto& sb : superblocks_) {
     sb->entry->sb = nullptr;
@@ -681,10 +664,8 @@ __attribute__((noinline)) void Machine::BuildSuperblockAt(Word entry_pc, CpuMode
   entry.handler = nullptr;
   ++superblock_builds_;
   if (obs::Enabled()) {
-    static obs::Counter& builds = obs::Metrics().GetCounter("machine.superblock_builds");
     obs::Emit(obs::Category::kMachine, obs::Code::kSuperblockBuild, obs::kColourKernel, tick_,
               entry_pc, trace_len);
-    builds.Add();
   }
   superblocks_.push_back(std::move(sb));
 }
@@ -716,10 +697,8 @@ __attribute__((noinline)) CpuEvent Machine::ExecuteCpuMiss(MachineBus& bus,
   // remaps and restores bump page versions; the next execution lands here).
   // Already out of line, so the disabled cost is one load + branch per miss.
   if (obs::Enabled()) {
-    static obs::Counter& refills = obs::Metrics().GetCounter("machine.predecode_refills");
     obs::Emit(obs::Category::kMachine, obs::Code::kPredecodeFill, obs::kColourKernel, tick_,
               static_cast<Word>(phys >> kIcacheBlockShift));
-    refills.Add();
   }
   std::optional<DecodedInsn> decoded = Decode(memory_.Read(phys));
   if (!decoded.has_value()) {
@@ -1248,14 +1227,7 @@ run_done:
 run_exit:
   SEP_SYNC_OUT();
   predecode_hits_ += hits;
-  if (sb_exits != 0) {
-    superblock_side_exits_ += sb_exits;
-    if (obs::Enabled()) {
-      static obs::Counter& side_exits =
-          obs::Metrics().GetCounter("machine.superblock_side_exits");
-      side_exits.Add(sb_exits);
-    }
-  }
+  superblock_side_exits_ += sb_exits;
   return {steps, event, bus.refused()};
 
 #undef SEP_SB_FLUSH

@@ -19,7 +19,10 @@
 // dynamic state inside the machine's physical memory (its kernel partition),
 // exactly as SUE's data lived in PDP-11 core. Then cloning the machine and
 // attaching an identically-configured client reproduces behaviour exactly,
-// and "the whole concrete state" really is the machine state.
+// and "the whole concrete state" really is the machine state. The one
+// exception is diagnostic counters (the client's and the machine's own,
+// like the cache statistics): they stay out of machine memory and are never
+// cloned, hashed, snapshotted or read back, so no behaviour depends on them.
 #ifndef SRC_MACHINE_MACHINE_H_
 #define SRC_MACHINE_MACHINE_H_
 
@@ -140,6 +143,12 @@ class Machine {
   Tick tick() const { return tick_; }
 
   const MachineConfig& config() const { return config_; }
+
+  // Traps dispatched and interrupts delivered since construction. Like the
+  // cache statistics below, bookkeeping of this instance: never cloned,
+  // hashed, snapshotted or restored.
+  std::uint64_t traps() const { return traps_; }
+  std::uint64_t interrupts() const { return interrupts_; }
 
   // Privileged physical access (native-kernel use; bypasses the MMU exactly
   // as kernel-mode code with identity mapping would).
@@ -421,6 +430,9 @@ class Machine {
   std::uint64_t superblock_builds_ = 0;
   std::uint64_t superblock_side_exits_ = 0;
   std::uint64_t superblock_invalidations_ = 0;
+
+  std::uint64_t traps_ = 0;
+  std::uint64_t interrupts_ = 0;
 };
 
 }  // namespace sep

@@ -104,23 +104,11 @@ std::string CanonicalColourTrace(const std::vector<TraceEvent>& events, int colo
   return out;
 }
 
-std::string MetricsText() {
+std::string MetricsText(const MetricLines& metrics) {
   std::string out;
-  for (const MetricSample& sample : Metrics().Snapshot()) {
-    out += Format("%s %lld\n", sample.name.c_str(), static_cast<long long>(sample.value));
+  for (const auto& [name, value] : metrics) {
+    out += Format("%s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
   }
-  return out;
-}
-
-std::string MetricsJson() {
-  std::string out = "{\n";
-  const std::vector<MetricSample> samples = Metrics().Snapshot();
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    out += Format("  \"%s\": %lld%s\n", samples[i].name.c_str(),
-                  static_cast<long long>(samples[i].value),
-                  i + 1 < samples.size() ? "," : "");
-  }
-  out += "}\n";
   return out;
 }
 

@@ -12,14 +12,16 @@
 //     deployments is the per-colour trace-equivalence check of
 //     docs/OBSERVABILITY.md and EXPERIMENTS.md E17.
 //
-// Metrics export: flat "name value" text or a flat JSON object.
+// Metrics export: flat "name value" text of counters the caller read off
+// the instances it ran (docs/OBSERVABILITY.md §4 names each owner).
 #ifndef SRC_OBS_EXPORT_H_
 #define SRC_OBS_EXPORT_H_
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace sep {
@@ -40,9 +42,11 @@ std::string TraceText(const std::vector<TraceEvent>& events);
 // free; equality is byte equality.
 std::string CanonicalColourTrace(const std::vector<TraceEvent>& events, int colour);
 
-// Flat metrics dumps of the process-wide registry.
-std::string MetricsText();
-std::string MetricsJson();
+// Counter values keyed by dotted metric name ("kernel.swaps").
+using MetricLines = std::map<std::string, std::uint64_t>;
+
+// One "name value" line per entry, in name order.
+std::string MetricsText(const MetricLines& metrics);
 
 }  // namespace obs
 }  // namespace sep

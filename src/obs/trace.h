@@ -36,8 +36,8 @@ namespace sep {
 namespace obs {
 
 // Colour of events performed by the kernel (or machine) on its own behalf:
-// dispatch bookkeeping, MMU reprogramming, counter maintenance. Excluded
-// from every per-colour view.
+// dispatch bookkeeping, MMU reprogramming. Excluded from every per-colour
+// view.
 inline constexpr int kColourKernel = -1;
 
 enum class Category : std::uint8_t {
@@ -58,7 +58,7 @@ enum class Code : std::uint16_t {
   // kernel (colour = regime the work is attributable to)
   kKernelCall = 0,    // a0 = trap code, a1 = R0 at entry
   kIrqDeliver = 1,    // a0 = local device index, a1 = handler vector
-  kRegimeFault = 2,   // a0 = fault ordinal (see kernel.cpp), a1 = 0
+  kRegimeFault = 2,   // a0 = 0, a1 = 0
   kIrqForward = 3,    // a0 = local device index (colour = owner; device-time)
   kDispatch = 4,      // a0 = incoming regime (kColourKernel)
   kMmuRemap = 5,      // a0 = regime whose mapping was programmed (kColourKernel)
@@ -72,15 +72,15 @@ enum class Code : std::uint16_t {
   // machine
   kMachineTrap = 16,      // a0 = TrapInfo kind, a1 = code/fault addr
   kMachineIrq = 17,       // a0 = device slot (colour = device owner; device-time)
-  kPredecodeFill = 18,    // a0 = phys page of the refilled entry
-  kPredecodeFlush = 19,   // cache disabled / cleared
+  kPredecodeFill = 18,    // a0 = 256-word cache-block index (phys >> 8) of the entry
+  kPredecodeFlush = 19,   // cache disabled: a0 = length of the block table dropped
   kSuperblockBuild = 20,      // a0 = entry PC, a1 = trace length (insns)
   kSuperblockInvalidate = 21, // a0 = entry PC (or count for a bulk flush)
   // checker
   kHeartbeat = 32,        // tick = states interned, a0 = level width (lo16), a1 = depth
   // net
-  kNetRetransmit = 48,    // a0 = link/port id
-  kNetTimeout = 49,       // a0 = link/port id
+  kNetRetransmit = 48,    // fast retransmit: a0 = window size, a1 = oldest seq
+  kNetTimeout = 49,       // a0 = retry count, a1 = oldest seq
   kNetFaultInjected = 50, // a0 = fault kind (FaultCounters ordinal)
   kNetNodeCrash = 51,     // a0 = node id, a1 = restart delay (lo16)
   kNetNodeRestore = 52,   // a0 = node id, a1 = 1 cold / 0 warm

@@ -19,7 +19,6 @@
 #include "src/core/kernel_system.h"
 #include "src/distributed/reliable.h"
 #include "src/obs/export.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace sep {
@@ -333,7 +332,7 @@ TEST(ChannelFabric, DoorbellWakesAwaitingConsumer) {
 
 // --- backpressure accounting --------------------------------------------------
 
-// A full shared ring stalls RINGPUT (R0 = 0), bumps kernel.channel_stall,
+// A full shared ring stalls RINGPUT (R0 = 0), bumps the kernel's stall count,
 // emits the channel-stall trace event tagged with the stalled producer — and
 // the watermark records the high-water occupancy for STAT-style polling.
 TEST(ChannelFabric, SharedRingBackpressureIsCountedAndTraced) {
@@ -366,8 +365,6 @@ FILL:   MOV R2, (R4)
   auto sys = builder.Build();
   ASSERT_TRUE(sys.ok()) << sys.error();
 
-  const std::uint64_t stalls_before =
-      obs::Metrics().GetCounter("kernel.channel_stall").value();
   obs::Recorder().Start(std::size_t{1} << 12);
   (*sys)->Run(4000);
   obs::Recorder().Stop();
@@ -382,7 +379,7 @@ FILL:   MOV R2, (R4)
   EXPECT_EQ((*sys)->machine().memory().Read(base + 0x103), 8u);  // occupancy = cap
   EXPECT_EQ((*sys)->kernel().SharedRingWatermark(0), 8u);
 
-  EXPECT_EQ(obs::Metrics().GetCounter("kernel.channel_stall").value(), stalls_before + 1);
+  EXPECT_EQ((*sys)->kernel().ChannelStallCount(), 1u);
   int stall_events = 0;
   for (const obs::TraceEvent& e : events) {
     if (e.code == obs::Code::kChannelStall) {
@@ -417,8 +414,6 @@ SLOOP:  CLR R0
   auto sys = builder.Build();
   ASSERT_TRUE(sys.ok()) << sys.error();
 
-  const std::uint64_t stalls_before =
-      obs::Metrics().GetCounter("kernel.channel_stall").value();
   obs::Recorder().Start(std::size_t{1} << 12);
   (*sys)->Run(2000);
   obs::Recorder().Stop();
@@ -427,7 +422,7 @@ SLOOP:  CLR R0
   EXPECT_EQ((*sys)->kernel().FaultCount(), 0u);
   const KernelConfig& config = (*sys)->kernel().config();
   EXPECT_EQ((*sys)->machine().memory().Read(config.regimes[0].mem_base + 0x100), 0u);
-  EXPECT_EQ(obs::Metrics().GetCounter("kernel.channel_stall").value(), stalls_before + 1);
+  EXPECT_EQ((*sys)->kernel().ChannelStallCount(), 1u);
   int stall_events = 0;
   for (const obs::TraceEvent& e : events) {
     if (e.code == obs::Code::kChannelStall) {

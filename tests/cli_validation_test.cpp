@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -117,6 +118,31 @@ TEST(CliValidation, ChaosRunRejectsBadSweepArguments) {
   EXPECT_EQ(RunTool(Tool("chaos_run") + " --seed-range"), 2);        // missing value
   EXPECT_EQ(RunTool(Tool("chaos_run") + " --seed-range 0..1 --rate 99"), 2);
   EXPECT_EQ(RunTool(Tool("chaos_run") + " --replay /nonexistent/path.sched"), 2);
+
+  // A flag the chosen mode does not read is a usage error, not silently
+  // ignored. The schedule is valid, so a replay that ran would exit 1 (a
+  // passing run does not reproduce a failure), not 2.
+  const std::string schedule = testing::TempDir() + "/pass.sched";
+  std::ofstream(schedule) << "seed 1 rate 0 packets 1 broken 0\n";
+  const std::string metrics = testing::TempDir() + "/sweep-metrics.txt";
+  std::remove(metrics.c_str());
+  const std::string sweep = Tool("chaos_run") + " --seed-range 1..2 ";
+  const std::string replay = Tool("chaos_run") + " --replay " + schedule + " ";
+  EXPECT_EQ(RunTool(sweep + "--metrics " + metrics + " 8"), 2);
+  EXPECT_FALSE(std::ifstream(metrics).good()) << "a rejected run writes no dump";
+  EXPECT_EQ(RunTool(sweep + "--trace " + metrics + " 8"), 2);
+  EXPECT_EQ(RunTool(sweep + "--batch-words 4 8"), 2);
+  EXPECT_EQ(RunTool(replay + "--trace " + metrics), 2);
+  EXPECT_EQ(RunTool(replay + "--metrics " + metrics), 2);
+  EXPECT_EQ(RunTool(replay + "--batch-words 4"), 2);
+  EXPECT_EQ(RunTool(Tool("chaos_run") + " --rate 5 1"), 2);  // no --seed-range
+  EXPECT_EQ(RunTool(Tool("chaos_run") + " --record " + metrics + " 1"), 2);
+  EXPECT_EQ(RunTool(Tool("chaos_run") + " --break-resync 1"), 2);
+  EXPECT_EQ(RunTool(replay + "--rate 5"), 2);
+  EXPECT_EQ(RunTool(sweep + "--replay " + schedule), 2);
+  EXPECT_EQ(RunTool(sweep + "8 5"), 2);  // the sweep takes no seed
+  EXPECT_EQ(RunTool(replay + "8"), 2);   // the schedule fixes the packets
+  EXPECT_EQ(RunTool(replay), 1);         // valid on its own: runs, not reproduced
 }
 
 TEST(CliValidation, ChaosSweepBudgetGrowsWithThePacketCount) {

@@ -1,10 +1,19 @@
 // Kernel edge cases: malformed kernel calls, stack abuse, device-window
 // boundaries, STAT semantics, AWAIT corner cases. A separation kernel's
-// security includes being unimpressed by hostile regimes.
+// security includes being unimpressed by hostile regimes. Also: the kernel's
+// and machine's counters are exact whether or not the trace recorder runs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <string>
 
 #include "src/core/kernel_system.h"
 #include "src/machine/devices.h"
+#include "src/obs/trace.h"
+#include "src/sm11asm/assembler.h"
+#include "tests/test_util.h"
+#include "tools/run_metrics.h"
 
 namespace sep {
 namespace {
@@ -577,6 +586,149 @@ TBL:    .WORD 0x100
         .WORD 40        ; 80 words total > kMaxBatchWords
 )"}),
     [](const ::testing::TestParamInfo<SendvCase>& info) { return info.param.name; });
+
+// --- counters with the recorder off ------------------------------------------
+
+// The trace event each bump of a dumped counter emits. The superblock side
+// exits and invalidations have none (a bulk flush emits one event).
+const std::map<std::string, obs::Code> kEventOf = {
+    {"kernel.calls", obs::Code::kKernelCall},
+    {"kernel.swaps", obs::Code::kDispatch},
+    {"kernel.irq_forwards", obs::Code::kIrqForward},
+    {"kernel.irq_delivers", obs::Code::kIrqDeliver},
+    {"kernel.faults", obs::Code::kRegimeFault},
+    {"kernel.mmu_remaps", obs::Code::kMmuRemap},
+    {"kernel.channel_stall", obs::Code::kChannelStall},
+    {"machine.traps", obs::Code::kMachineTrap},
+    {"machine.interrupts", obs::Code::kMachineIrq},
+    {"machine.predecode_refills", obs::Code::kPredecodeFill},
+    {"machine.superblock_builds", obs::Code::kSuperblockBuild},
+};
+
+// `untraced` and `traced` are the dumps of identical runs, the second with
+// the recorder on from before the build: every counter must agree, and equal
+// the number of its events.
+void ExpectExactCounters(const obs::MetricLines& untraced, const obs::MetricLines& traced,
+                         const std::vector<obs::TraceEvent>& events) {
+  EXPECT_EQ(untraced, traced);
+  for (const auto& [name, value] : traced) {
+    const auto code = kEventOf.find(name);
+    if (code != kEventOf.end()) {
+      const auto marks = std::count_if(events.begin(), events.end(),
+                                       [&](const obs::TraceEvent& e) {
+                                         return e.code == code->second;
+                                       });
+      EXPECT_EQ(value, static_cast<std::uint64_t>(marks)) << name;
+    }
+  }
+}
+
+// Two swapping regimes. The ticker owns a line clock whose interrupts it
+// takes, fills a capacity-4 channel its peer never drains (two stalls), then
+// swaps forever; the peer swaps a while, then makes an unknown kernel call.
+Result<std::unique_ptr<KernelizedSystem>> BuildCountedDeployment() {
+  SystemBuilder builder;
+  const int clk = builder.AddDevice(std::make_unique<LineClock>("clk", 20, 6, 40));
+  Result<int> ticker = builder.AddRegime("ticker", 512, R"(
+        .EQU CLK, 0xE000
+START:  CLR R0
+        MOV #HANDLER, R1
+        TRAP 4          ; SETVEC
+        MOV #CLK, R4
+        MOV #0x40, (R4) ; enable clock interrupts
+        MOV #6, R5
+FILL:   CLR R0
+        MOV #0x21, R1
+        TRAP 1          ; SEND: the 5th and 6th find the channel full
+        DEC R5
+        BNE FILL
+LOOP:   TRAP 0          ; SWAP
+        BR LOOP
+HANDLER:
+        TRAP 5          ; RETI
+)", {clk});
+  Result<int> peer = builder.AddRegime("peer", 256, R"(
+        MOV #20, R5
+PLOOP:  TRAP 0          ; SWAP
+        DEC R5
+        BNE PLOOP
+        TRAP 99         ; unknown kernel call: a regime fault
+)");
+  if (!ticker.ok() || !peer.ok()) {
+    return Err("regime rejected");
+  }
+  builder.AddChannel("tight", /*sender=*/0, /*receiver=*/1, /*capacity=*/4);
+  return builder.Build();
+}
+
+TEST(KernelCounters, ExactWithTheRecorderOff) {
+  auto untraced = BuildCountedDeployment();
+  ASSERT_TRUE(untraced.ok()) << untraced.error();
+  (*untraced)->Run(3000);
+
+  obs::Recorder().Start(std::size_t{1} << 16);
+  auto traced = BuildCountedDeployment();  // the boot dispatch is traced too
+  ASSERT_TRUE(traced.ok()) << traced.error();
+  (*traced)->Run(3000);
+  obs::Recorder().Stop();
+  const std::vector<obs::TraceEvent> events = obs::Recorder().Drain();
+  ASSERT_EQ(obs::Recorder().dropped(), 0u);
+
+  const SeparationKernel& kernel = (*traced)->kernel();
+  EXPECT_GT(kernel.SwapCount(), 20u);
+  EXPECT_GT(kernel.IrqDeliverCount(), 0u);
+  EXPECT_EQ(kernel.ChannelStallCount(), 2u);
+  EXPECT_EQ(kernel.FaultCount(), 1u);
+  EXPECT_TRUE(kernel.RegimeHalted(1));
+  ExpectExactCounters(RunMetrics((*untraced)->machine(), &(*untraced)->kernel()),
+                      RunMetrics((*traced)->machine(), &kernel), events);
+}
+
+// A bare loop hot enough to build a superblock, whose alternating branch
+// side-exits it and whose TRAP vectors through the hardware table.
+TEST(KernelCounters, BareMachineExactWithTheRecorderOff) {
+  const Result<AssembledProgram> program = Assemble(R"(
+        .ORG 0x100
+START:  CLR R0
+LOOP:   INC R0
+        BIT #1, R0
+        BNE ODD         ; forward: the trace predicts fall-through
+        INC R2
+        BR NEXT
+ODD:    TRAP 3
+NEXT:   CMP #400, R0
+        BNE LOOP
+        HALT
+        .ORG 0x200
+HANDLER:
+        INC R5
+        RTI
+)");
+  ASSERT_TRUE(program.ok()) << program.error();
+  const auto run = [&program] {
+    std::unique_ptr<Machine> m = MakeBareMachine();
+    m->memory().LoadImage(program->base, program->words);
+    m->memory().Write(kVectorTrap, 0x200);
+    m->memory().Write(kVectorTrap + 1, 0);
+    m->cpu().set_pc(0x100);
+    m->cpu().set_sp(0x1000);
+    m->Run(20000);
+    return m;
+  };
+
+  const std::unique_ptr<Machine> untraced = run();
+  obs::Recorder().Start(std::size_t{1} << 16);
+  const std::unique_ptr<Machine> traced = run();
+  obs::Recorder().Stop();
+  const std::vector<obs::TraceEvent> events = obs::Recorder().Drain();
+  ASSERT_EQ(obs::Recorder().dropped(), 0u);
+
+  EXPECT_TRUE(traced->halted());
+  EXPECT_EQ(traced->traps(), 200u);
+  EXPECT_GE(traced->superblock_builds(), 1u);
+  EXPECT_GT(traced->superblock_side_exits(), 0u);
+  ExpectExactCounters(RunMetrics(*untraced, nullptr), RunMetrics(*traced, nullptr), events);
+}
 
 }  // namespace
 }  // namespace sep

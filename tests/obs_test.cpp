@@ -1,5 +1,5 @@
 // Unit tests for the observability layer: trace ring, recorder lifecycle,
-// metrics registry, exporters.
+// exporters.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/obs/export.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace sep {
@@ -130,54 +129,6 @@ TEST(TraceRecorder, CountsDrops) {
   EXPECT_EQ(obs::Recorder().dropped(), 8u);
 }
 
-TEST(Metrics, CountersAndGauges) {
-  obs::MetricsRegistry registry;
-  obs::Counter& c = registry.GetCounter("test.counter");
-  c.Add();
-  c.Add(4);
-  EXPECT_EQ(c.value(), 5u);
-  EXPECT_EQ(&registry.GetCounter("test.counter"), &c) << "same name, same counter";
-
-  obs::Gauge& g = registry.GetGauge("test.gauge");
-  g.Set(42);
-  g.Max(17);  // lower: no effect
-  EXPECT_EQ(g.value(), 42);
-  g.Max(99);
-  EXPECT_EQ(g.value(), 99);
-
-  const std::vector<obs::MetricSample> snapshot = registry.Snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].name, "test.counter");
-  EXPECT_TRUE(snapshot[0].is_counter);
-  EXPECT_EQ(snapshot[0].value, 5);
-  EXPECT_EQ(snapshot[1].name, "test.gauge");
-  EXPECT_EQ(snapshot[1].value, 99);
-
-  registry.ResetAll();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
-}
-
-TEST(Metrics, ConcurrentBumpsDontLoseCounts) {
-  obs::MetricsRegistry registry;
-  constexpr int kThreads = 4;
-  constexpr int kBumps = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry] {
-      obs::Counter& c = registry.GetCounter("test.contended");
-      for (int i = 0; i < kBumps; ++i) {
-        c.Add();
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(registry.GetCounter("test.contended").value(),
-            static_cast<std::uint64_t>(kThreads) * kBumps);
-}
-
 TEST(Exporters, ChromeTraceJsonShape) {
   std::vector<obs::TraceEvent> events;
   events.push_back(Event(5, 1, obs::Code::kKernelCall, 6, 7));
@@ -211,19 +162,12 @@ TEST(Exporters, CanonicalColourTraceFiltersAndDropsTimestamps) {
 }
 
 TEST(Exporters, MetricsTextIsSortedNameValueLines) {
-  obs::Metrics().ResetAll();
-  obs::Metrics().GetCounter("zz.last").Add(3);
-  obs::Metrics().GetCounter("aa.first").Add(1);
-  const std::string text = obs::MetricsText();
-  const std::size_t first = text.find("aa.first 1");
-  const std::size_t last = text.find("zz.last 3");
-  EXPECT_NE(first, std::string::npos);
-  EXPECT_NE(last, std::string::npos);
-  EXPECT_LT(first, last);
-
-  const std::string json = obs::MetricsJson();
-  EXPECT_NE(json.find("\"aa.first\": 1"), std::string::npos);
-  EXPECT_EQ(json.front(), '{');
+  obs::MetricLines metrics;
+  metrics["zz.last"] = 3;
+  metrics["aa.first"] = 1;
+  metrics["mm.large"] = std::uint64_t{1} << 40;
+  EXPECT_EQ(obs::MetricsText(metrics), "aa.first 1\nmm.large 1099511627776\nzz.last 3\n");
+  EXPECT_EQ(obs::MetricsText({}), "");
 }
 
 }  // namespace

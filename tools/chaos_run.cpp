@@ -11,9 +11,10 @@
 // the output shows both the tolerated envelope and the failure mode beyond
 // it (with bounded retries the line is declared dead rather than wedged).
 //
-// --trace FILE writes a Chrome trace-event JSON of the run's network events
-// (retransmits, timeouts, injected faults); --metrics FILE writes the flat
-// metrics dump. Either flag turns the recorder on for the whole run.
+// --trace FILE turns the recorder on and writes a Chrome trace-event JSON of
+// the run's network events (retransmits, timeouts, injected faults);
+// --metrics FILE writes the `net.*` totals over every rate, read off each
+// round's tunnel sender and wire links, as flat "name value" lines.
 //
 // CRASH-CHAOS SCHEDULER (experiment E18). --seed-range A..B switches to the
 // sweep mode: for every seed in [A, B] the SNFE pair runs over a CRASH-
@@ -31,10 +32,12 @@
 // the failure reproduces exactly.
 // --break-resync disables the write-ahead ack-commit rule and the restart
 // handshake — the deliberately broken configuration the sweep must catch.
+// A flag the chosen mode does not read is a usage error, never ignored.
 #include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -374,8 +377,8 @@ int Main(int argc, char** argv) {
   std::string replay_path;
   bool sweep = false;
   std::uint64_t seed_lo = 0, seed_hi = 0;
-  int rate = 20;
-  int batch_words = 2;
+  std::optional<int> rate;
+  std::optional<int> batch_words;
   bool break_resync = false;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
@@ -454,15 +457,36 @@ int Main(int argc, char** argv) {
     }
   }
 
-  if (!replay_path.empty()) {
+  const bool replay = !replay_path.empty();
+  const char* stray = nullptr;  // first flag the chosen mode would ignore
+  if (sweep && replay) {
+    stray = "--seed-range with --replay";
+  } else if ((sweep || replay) && !trace_path.empty()) {
+    stray = "--trace";
+  } else if ((sweep || replay) && !metrics_path.empty()) {
+    stray = "--metrics";
+  } else if ((sweep || replay) && batch_words.has_value()) {
+    stray = "--batch-words";
+  } else if (!sweep && rate.has_value()) {
+    stray = "--rate";
+  } else if (!sweep && !record_path.empty()) {
+    stray = "--record";
+  } else if (!sweep && break_resync) {
+    stray = "--break-resync";
+  } else if ((sweep && positional > 1) || (replay && positional > 0)) {
+    stray = sweep ? "a seed" : "packets or a seed";
+  }
+  if (stray != nullptr) {
+    return UsageError("argument not used in this mode", stray);
+  }
+  if (replay) {
     return ReplayMain(replay_path);
   }
   if (sweep) {
-    return SweepMain(seed_lo, seed_hi, packets, rate, break_resync, record_path);
+    return SweepMain(seed_lo, seed_hi, packets, rate.value_or(20), break_resync, record_path);
   }
 
-  const bool observe = !trace_path.empty() || !metrics_path.empty();
-  if (observe) {
+  if (!trace_path.empty()) {
     obs::Recorder().Start(std::size_t{1} << 18);
   }
 
@@ -475,6 +499,7 @@ int Main(int argc, char** argv) {
 
   std::uint64_t prev_retransmits = 0;
   bool monotone = true;
+  obs::MetricLines metrics;
   for (int rate : {0, 2, 5, 10, 15, 20, 30, 40}) {
     Network net;
     ReliableConfig config;
@@ -485,7 +510,7 @@ int Main(int argc, char** argv) {
     config.max_retries = 64;
     // Tunnel segment size: default 2 (the chaos-envelope sweet spot);
     // --batch-words 16 runs the soak with the Batched() preset's frames.
-    config.max_segment_words = static_cast<std::size_t>(batch_words);
+    config.max_segment_words = static_cast<std::size_t>(batch_words.value_or(2));
     SnfeLossyTopology topo =
         BuildSnfePairReliable(net, CensorStrictness::kSyntax, FaultSpec::DropCorrupt(rate),
                               seed + static_cast<std::uint64_t>(rate), packets,
@@ -496,6 +521,13 @@ int Main(int argc, char** argv) {
     const ReliableSenderStats& tx = TunnelSenderStats(net, topo.tunnel);
     const ReliableReceiverStats& rx = TunnelReceiverStats(net, topo.tunnel);
     const FaultCounters* wire = net.FaultCountersFor(topo.tunnel.data_link);
+    const FaultCounters* ack_wire = net.FaultCountersFor(topo.tunnel.ack_link);
+    metrics["net.retransmits"] += tx.retransmits;
+    metrics["net.fast_retransmits"] += tx.fast_retransmits;
+    metrics["net.timeouts"] += tx.timeouts;
+    metrics["net.gave_up"] += tx.gave_up;
+    metrics["net.faults_injected"] +=
+        (wire ? wire->total_faults() : 0) + (ack_wire ? ack_wire->total_faults() : 0);
 
     const char* verdict;
     if (tx.gave_up) {
@@ -523,19 +555,18 @@ int Main(int argc, char** argv) {
   std::printf("\nretransmit counts monotone with fault rate: %s\n",
               monotone ? "yes" : "NO");
 
-  if (observe) {
+  if (!trace_path.empty()) {
     obs::Recorder().Stop();
-    const std::vector<obs::TraceEvent> events = obs::Recorder().Drain();
-    if (!trace_path.empty() && !WriteFile(trace_path, obs::ChromeTraceJson(events))) {
-      return 2;
-    }
-    if (!metrics_path.empty() && !WriteFile(metrics_path, obs::MetricsText())) {
+    if (!WriteFile(trace_path, obs::ChromeTraceJson(obs::Recorder().Drain()))) {
       return 2;
     }
     if (obs::Recorder().dropped() > 0) {
       std::fprintf(stderr, "chaos_run: note: trace ring dropped %llu event(s)\n",
                    static_cast<unsigned long long>(obs::Recorder().dropped()));
     }
+  }
+  if (!metrics_path.empty() && !WriteFile(metrics_path, obs::MetricsText(metrics))) {
+    return 2;
   }
   return monotone ? 0 : 1;
 }

@@ -14,12 +14,13 @@
 // equality across deployments is the per-colour trace-equivalence check of
 // docs/OBSERVABILITY.md and EXPERIMENTS.md E17.
 //
-// `--exhaustive N` runs the exhaustive separability checker (state budget
-// N, all hardware threads) on the built system before exporting, so
-// `--format metrics` includes the `exhaustive.*` gauges — states,
-// transitions, shard_max_load and the per-worker expansion/restore
-// counters that show how evenly the pool spread the work
-// (docs/PERFORMANCE.md §6).
+// `--format metrics` prints the traced system's machine and kernel counters
+// as flat "name value" lines. `--exhaustive N` runs the exhaustive
+// separability checker (state budget N, all hardware threads) on a fresh
+// build before exporting, so the dump also carries its report as
+// `exhaustive.*` lines — states, transitions, shard_max_load and the
+// per-worker expansion/restore counts that show how evenly the pool spread
+// the work (docs/PERFORMANCE.md §6).
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -31,8 +32,8 @@
 #include "src/core/exhaustive.h"
 #include "src/core/kernel_system.h"
 #include "src/obs/export.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "tools/run_metrics.h"
 
 namespace {
 
@@ -42,7 +43,7 @@ constexpr char kUsage[] =
     "  Runs each guest as one regime of a shared separation kernel with the\n"
     "  trace recorder on, then exports the recorded events. --exhaustive N\n"
     "  additionally runs the exhaustive checker (state budget N) so --format\n"
-    "  metrics includes the exhaustive.* exploration-balance gauges.\n";
+    "  metrics includes the exhaustive.* exploration-balance lines.\n";
 
 int UsageError(const char* message, const char* value) {
   std::fprintf(stderr, "sep_trace: %s: %s\n%s", message, value, kUsage);
@@ -153,6 +154,7 @@ int main(int argc, char** argv) {
   const std::size_t executed = (*system)->Run(steps);
   sep::obs::Recorder().Stop();
   std::vector<sep::obs::TraceEvent> events = sep::obs::Recorder().Drain();
+  sep::obs::MetricLines metrics = sep::RunMetrics((*system)->machine(), &(*system)->kernel());
 
   if (exhaustive_states > 0) {
     // A fresh build of the same configuration: the traced run above has
@@ -167,6 +169,21 @@ int main(int argc, char** argv) {
     options.threads = 0;  // all hardware threads: exercise the pool
     const sep::ExhaustiveReport report = sep::CheckSeparabilityExhaustive(**fresh, options);
     std::fprintf(stderr, "sep_trace: exhaustive: %s\n", report.Summary().c_str());
+    metrics.insert({
+        {"exhaustive.states", report.states_explored},
+        {"exhaustive.transitions", report.transitions},
+        {"exhaustive.pairs_checked", report.pairs_checked},
+        {"exhaustive.restore_count", report.restore_count},
+        {"exhaustive.peak_state_bytes", report.peak_state_bytes},
+        {"exhaustive.shard_max_load", report.shard_max_load},
+        {"exhaustive.explore_ns", report.explore_ns},
+        {"exhaustive.frontier_ns", report.frontier_ns},
+        {"exhaustive.class_check_ns", report.class_check_ns},
+    });
+    for (std::size_t w = 0; w < report.worker_expanded.size(); ++w) {
+      metrics[sep::Format("exhaustive.worker%zu.expanded", w)] = report.worker_expanded[w];
+      metrics[sep::Format("exhaustive.worker%zu.restores", w)] = report.worker_restores[w];
+    }
   }
 
   // --colour filters the chrome/text exports too, so one regime's full
@@ -193,7 +210,7 @@ int main(int argc, char** argv) {
       output = sep::obs::CanonicalColourTrace(events, colour);
       break;
     case Format::kMetrics:
-      output = sep::obs::MetricsText();
+      output = sep::obs::MetricsText(metrics);
       break;
   }
 

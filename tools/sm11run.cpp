@@ -8,7 +8,8 @@
 //   sm11run --listing prog.s      print the assembler listing and exit
 //   sm11run --disasm prog.s       disassemble each instruction as it runs
 //   sm11run --trace FILE prog.s   write a Chrome trace-event JSON of the run
-//   sm11run --metrics FILE prog.s write the flat metrics dump of the run
+//   sm11run --metrics FILE prog.s write the run's machine (and kernel)
+//                                  counters as flat "name value" lines
 //
 // The program's serial line (if it uses one) is the process's stdin/stdout:
 // input bytes are injected into the device before the run; transmitted
@@ -29,6 +30,7 @@
 #include "src/obs/export.h"
 #include "src/obs/trace.h"
 #include "src/sm11asm/assembler.h"
+#include "tools/run_metrics.h"
 
 namespace {
 
@@ -66,7 +68,9 @@ sep::Result<std::string> ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-int RunBare(const sep::AssembledProgram& program, const Options& options) {
+// Both runners leave the run's counters in `metrics` (tools/run_metrics.h).
+int RunBare(const sep::AssembledProgram& program, const Options& options,
+            sep::obs::MetricLines& metrics) {
   using namespace sep;
   MachineConfig config;
   config.memory_words = 1u << 15;
@@ -125,10 +129,12 @@ int RunBare(const sep::AssembledProgram& program, const Options& options) {
       }
     }
   }
+  metrics = RunMetrics(machine, nullptr);
   return machine.halted() ? 0 : 3;
 }
 
-int RunRegime(const std::string& source, const Options& options) {
+int RunRegime(const std::string& source, const Options& options,
+              sep::obs::MetricLines& metrics) {
   using namespace sep;
   SystemBuilder builder;
   int slu = builder.AddDevice(std::make_unique<SerialLine>("console", 16, 4, 1));
@@ -168,6 +174,7 @@ int RunRegime(const std::string& source, const Options& options) {
       }
     }
   }
+  metrics = RunMetrics((*system)->machine(), &(*system)->kernel());
   return (*system)->machine().halted() ? 0 : 3;
 }
 
@@ -256,22 +263,22 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const bool observe = !options.trace_path.empty() || !options.metrics_path.empty();
-  if (observe) {
+  const bool trace = !options.trace_path.empty();
+  if (trace) {
     sep::obs::Recorder().Start(std::size_t{1} << 18);
   }
-  const int rc = options.as_regime ? RunRegime(*source, options) : RunBare(*program, options);
-  if (observe) {
+  sep::obs::MetricLines metrics;
+  const int rc = options.as_regime ? RunRegime(*source, options, metrics)
+                                   : RunBare(*program, options, metrics);
+  if (trace) {
     sep::obs::Recorder().Stop();
-    const std::vector<sep::obs::TraceEvent> events = sep::obs::Recorder().Drain();
-    if (!options.trace_path.empty()) {
-      const int wrc = WriteFileOrDie(options.trace_path, sep::obs::ChromeTraceJson(events));
-      if (wrc != 0) return wrc;
-    }
-    if (!options.metrics_path.empty()) {
-      const int wrc = WriteFileOrDie(options.metrics_path, sep::obs::MetricsText());
-      if (wrc != 0) return wrc;
-    }
+    const int wrc = WriteFileOrDie(options.trace_path,
+                                   sep::obs::ChromeTraceJson(sep::obs::Recorder().Drain()));
+    if (wrc != 0) return wrc;
+  }
+  if (!options.metrics_path.empty()) {
+    const int wrc = WriteFileOrDie(options.metrics_path, sep::obs::MetricsText(metrics));
+    if (wrc != 0) return wrc;
   }
   return rc;
 }
