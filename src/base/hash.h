@@ -1,16 +1,15 @@
-// FNV-1a hashing utilities.
+// Hashing utilities: byte-at-a-time FNV-1a and a word-at-a-time mix.
 //
-// The Proof-of-Separability checker compares abstract states by value. For
-// large state vectors (whole memory partitions) it first compares 64-bit
-// digests, falling back to full comparison on digest equality only in debug
-// checks. FNV-1a is used because it is simple, deterministic across
-// platforms, and fast enough at the word granularity the simulator uses.
+// In the Proof-of-Separability checker a digest only routes a lookup:
+// wherever it interns a state, a chunk or a class, a digest hit is confirmed
+// by comparing the words themselves, so a collision costs a probe, never a
+// wrong verdict.
 #ifndef SRC_BASE_HASH_H_
 #define SRC_BASE_HASH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace sep {
 
@@ -33,15 +32,6 @@ class Hasher {
     for (unsigned char b : bytes) {
       digest_ ^= b;
       digest_ *= kFnvPrime;
-    }
-    return *this;
-  }
-
-  template <typename T>
-  Hasher& MixRange(const std::vector<T>& values) {
-    Mix(values.size());
-    for (const T& v : values) {
-      Mix(static_cast<std::uint64_t>(v));
     }
     return *this;
   }

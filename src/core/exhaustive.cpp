@@ -48,6 +48,9 @@ namespace {
 // No live SharedSystem is retained per explored state. Each state exists
 // only as its serialized FullState() words; workers reconstruct live
 // machines on demand (RestoreFullState) into per-worker scratch instances.
+// A successor differs from its parent in a few chunks, so interning it
+// hashes and looks up only those (Intern), and materializing a state copies
+// only the chunks that differ from the worker's last one (MaterializeState).
 
 constexpr std::size_t kChunkWords = 64;
 // States expanded per parallel slice. Exploration stops at a cut rule only
@@ -59,6 +62,14 @@ constexpr std::size_t kSliceStates = 64;
 Word SaturateWord(std::size_t value) {
   return static_cast<Word>(std::min<std::size_t>(value, 0xFFFF));
 }
+
+// One stored state as a worker holds it: its words and, per
+// kChunkWords-word chunk at fixed offsets, the chunk's ref and hash.
+struct Materialized {
+  std::vector<Word> words;
+  std::vector<std::uint32_t> refs;
+  std::vector<std::uint64_t> hashes;
+};
 
 // Compact interned storage for serialized states, sharded for concurrent
 // growth. Serializations are cut into kChunkWords-word chunks at fixed
@@ -72,19 +83,18 @@ Word SaturateWord(std::size_t value) {
 // always produce identical ref lists, so state equality is a cheap ref-list
 // memcmp that never touches the chunk shards (no nested locks).
 //
-// Capacity determinism: every growable vector starts from a fixed reserved
-// base large enough that growth is pure doubling (appends are ≤ kChunkWords
-// words), making each shard's capacity — and thus bytes() — a function of
-// its final contents, not of insertion order.
+// Capacity determinism: one-element appends grow a vector from its reserved
+// base by doubling, and the many-word appends (ref lists, chunks of any
+// length) to the smallest power-of-two multiple of their base that fits
+// (Grow). Each shard's capacity — and thus bytes() — is then a function of
+// its final contents, not of the order in which workers appended.
 class ShardedStateStore {
  public:
   ShardedStateStore() {
     for (std::size_t s = 0; s < kShardCount; ++s) {
-      state_data_[s].chunk_refs.reserve(1024);
       state_data_[s].ref_offsets.reserve(256);
       state_data_[s].lens.reserve(256);
       state_data_[s].hashes.reserve(256);
-      chunk_data_[s].words.reserve(4096);
       chunk_data_[s].offsets.reserve(256);
       chunk_data_[s].hashes.reserve(256);
     }
@@ -108,6 +118,7 @@ class ShardedStateStore {
                 [&]() {
                   const std::size_t local = d.hashes.size();
                   SEP_CHECK(local <= kShardLocalMax);
+                  Grow(d.words, 4096, count);
                   d.words.insert(d.words.end(), words, words + count);
                   d.offsets.push_back(static_cast<std::uint32_t>(d.words.size()));
                   d.hashes.push_back(hash);
@@ -119,9 +130,9 @@ class ShardedStateStore {
   }
 
   // Any thread. `refs` is the state's packed chunk-ref list; `len` its exact
-  // word count; `hash` the hash of the full serialization. Returns the
-  // state's packed id, interning it if new.
-  std::int32_t InternState(std::uint64_t hash, const std::uint32_t* refs, std::size_t nrefs,
+  // word count; `hash` the state hash Intern computed. Returns the state's
+  // packed id, interning it if new.
+  std::int32_t InternState(std::uint64_t hash, std::span<const std::uint32_t> refs,
                            std::size_t len) {
     const std::size_t s = ShardForHash(hash);
     StateShardData& d = state_data_[s];
@@ -131,14 +142,15 @@ class ShardedStateStore {
             [&](std::int32_t local) {
               const std::size_t i = static_cast<std::size_t>(local);
               return d.hashes[i] == hash && d.lens[i] == len &&
-                     d.ref_offsets[i + 1] - d.ref_offsets[i] == nrefs &&
-                     std::memcmp(d.chunk_refs.data() + d.ref_offsets[i], refs,
-                                 nrefs * sizeof(std::uint32_t)) == 0;
+                     d.ref_offsets[i + 1] - d.ref_offsets[i] == refs.size() &&
+                     std::memcmp(d.chunk_refs.data() + d.ref_offsets[i], refs.data(),
+                                 refs.size_bytes()) == 0;
             },
             [&]() {
               const std::size_t local = d.hashes.size();
               SEP_CHECK(local <= kShardLocalMax);
-              d.chunk_refs.insert(d.chunk_refs.end(), refs, refs + nrefs);
+              Grow(d.chunk_refs, 1024, refs.size());
+              d.chunk_refs.insert(d.chunk_refs.end(), refs.begin(), refs.end());
               d.ref_offsets.push_back(static_cast<std::uint32_t>(d.chunk_refs.size()));
               d.lens.push_back(static_cast<std::uint32_t>(len));
               d.hashes.push_back(hash);
@@ -152,10 +164,12 @@ class ShardedStateStore {
   // exploration and the frontier records provides the happens-before edge.
   void Freeze() { frozen_ = true; }
 
-  // Reconstructs state `packed`'s serialized words into `out` (its chunk-ref
-  // list lands in `refs`). Thread-safe: locks shards unless frozen.
-  void MaterializeState(std::int32_t packed, std::vector<std::uint32_t>& refs,
-                        std::vector<Word>& out) const {
+  // Reconstructs state `packed` into `m`, which holds the caller's previous
+  // materialization. Refs are content-addressed, so only the chunks whose
+  // ref differs are copied, each under its shard lock unless frozen. `next`
+  // is scratch for the new ref list.
+  void MaterializeState(std::int32_t packed, Materialized& m,
+                        std::vector<std::uint32_t>& next) const {
     const std::size_t s = ShardOfId(packed);
     const std::size_t local = LocalOfId(packed);
     const StateShardData& d = state_data_[s];
@@ -165,23 +179,30 @@ class ShardedStateStore {
       if (!frozen_) {
         lock = std::unique_lock<std::mutex>(state_index_.shard(s).mu);
       }
-      refs.assign(d.chunk_refs.begin() + d.ref_offsets[local],
+      next.assign(d.chunk_refs.begin() + d.ref_offsets[local],
                   d.chunk_refs.begin() + d.ref_offsets[local + 1]);
       len = d.lens[local];
     }
-    out.clear();
-    out.reserve(len);
-    for (const std::uint32_t ref : refs) {
-      const std::size_t cs = ShardOfId(static_cast<std::int32_t>(ref));
-      const std::size_t cl = LocalOfId(static_cast<std::int32_t>(ref));
+    m.words.resize(len);
+    m.hashes.resize(next.size());
+    for (std::size_t i = 0; i < next.size(); ++i) {
+      if (i < m.refs.size() && m.refs[i] == next[i]) {
+        continue;
+      }
+      const std::size_t cs = ShardOfId(static_cast<std::int32_t>(next[i]));
+      const std::size_t cl = LocalOfId(static_cast<std::int32_t>(next[i]));
       const ChunkShardData& cd = chunk_data_[cs];
       std::unique_lock<std::mutex> lock;
       if (!frozen_) {
         lock = std::unique_lock<std::mutex>(chunk_index_.shard(cs).mu);
       }
-      out.insert(out.end(), cd.words.begin() + cd.offsets[cl], cd.words.begin() + cd.offsets[cl + 1]);
+      const std::size_t count = cd.offsets[cl + 1] - cd.offsets[cl];
+      SEP_CHECK(count == std::min(kChunkWords, len - i * kChunkWords));
+      std::memcpy(m.words.data() + i * kChunkWords, cd.words.data() + cd.offsets[cl],
+                  count * sizeof(Word));
+      m.hashes[i] = cd.hashes[cl];
     }
-    SEP_CHECK(out.size() == len);
+    m.refs.swap(next);
   }
 
   std::size_t shard_max_load() const { return state_index_.max_load(); }
@@ -204,6 +225,17 @@ class ShardedStateStore {
   }
 
  private:
+  // Before appending `count` elements: grows `v` to the smallest
+  // power-of-two multiple of `base` that holds them.
+  template <typename T>
+  static void Grow(std::vector<T>& v, std::size_t base, std::size_t count) {
+    std::size_t capacity = base;
+    while (capacity < v.size() + count) {
+      capacity *= 2;
+    }
+    v.reserve(capacity);
+  }
+
   struct StateShardData {
     // State i's chunk refs occupy chunk_refs[ref_offsets[i] ..
     // ref_offsets[i + 1]).
@@ -225,41 +257,6 @@ class ShardedStateStore {
   std::array<ChunkShardData, kShardCount> chunk_data_;
   bool frozen_ = false;
 };
-
-// Per-worker direct-mapped cache of hot chunks. Most successors of one
-// state share almost all chunks with it, so this makes the common-chunk
-// intern path lock-free. Sound by construction: a hit requires a full
-// content memcmp, never hash identity alone — a silent collision in a
-// verification tool is not an acceptable failure mode.
-struct ChunkCache {
-  static constexpr std::size_t kEntries = 512;
-  struct Entry {
-    std::uint64_t hash = 0;
-    std::int64_t ref = -1;
-    std::uint32_t len = 0;
-  };
-  std::vector<Entry> entries = std::vector<Entry>(kEntries);
-  std::vector<Word> words = std::vector<Word>(kEntries * kChunkWords);
-};
-
-std::uint32_t InternChunkCached(ShardedStateStore& store, ChunkCache& cache, const Word* words,
-                                std::size_t count) {
-  const std::uint64_t hash = HashWords(words, count);
-  // Shard routing consumes the TOP hash bits; the cache slot uses the low
-  // bits so cache placement and shard placement stay independent.
-  ChunkCache::Entry& e = cache.entries[hash & (ChunkCache::kEntries - 1)];
-  Word* const slot = cache.words.data() + (hash & (ChunkCache::kEntries - 1)) * kChunkWords;
-  if (e.ref >= 0 && e.hash == hash && e.len == count &&
-      std::memcmp(slot, words, count * sizeof(Word)) == 0) {
-    return static_cast<std::uint32_t>(e.ref);
-  }
-  const std::uint32_t ref = store.InternChunk(hash, words, count);
-  e.hash = hash;
-  e.ref = ref;
-  e.len = static_cast<std::uint32_t>(count);
-  std::memcpy(slot, words, count * sizeof(Word));
-  return ref;
-}
 
 // Exact interning of word strings to dense ids, on one thread. A hit needs
 // equal content, never hash identity alone, so equal ids mean equal words.
@@ -360,7 +357,7 @@ class ExhaustiveRun {
                std::chrono::steady_clock::now() - start)
                .count();
     };
-    timed(report_.explore_ns, [&] { Explore(Intern(ScratchHere(), *init_key)); });
+    timed(report_.explore_ns, [&] { Explore(Intern(ScratchHere(), *init_key, Materialized{})); });
     store_->Freeze();
     if (!Done()) {
       timed(report_.frontier_ns, [&] { RecordFrontier(); });
@@ -387,13 +384,11 @@ class ExhaustiveRun {
   struct Scratch {
     std::unique_ptr<SharedSystem> base;  // the state being expanded
     std::unique_ptr<SharedSystem> work;  // mutated per successor
-    std::vector<Word> key;               // the state's materialized serialization
+    Materialized key;                    // the state being expanded, as stored
     std::vector<Word> ser;               // successor serialization scratch
     std::vector<Word> phi;               // abstraction scratch
     std::vector<std::vector<Word>> before_phi;  // per-colour Φ of the state
-    std::vector<std::uint32_t> refs;            // chunk-ref scratch (materialize)
-    std::vector<std::uint32_t> intern_refs;     // chunk-ref scratch (intern)
-    ChunkCache cache;
+    std::vector<std::uint32_t> refs;            // chunk-ref scratch
     std::uint64_t restores = 0;
     std::uint64_t expanded = 0;
   };
@@ -414,15 +409,29 @@ class ExhaustiveRun {
     ++sc.restores;
   }
 
-  // Chunks `key` and interns the state; any thread.
-  std::int32_t Intern(Scratch& sc, const std::vector<Word>& key) {
-    sc.intern_refs.clear();
-    for (std::size_t base = 0; base < key.size(); base += kChunkWords) {
-      sc.intern_refs.push_back(InternChunkCached(*store_, sc.cache, key.data() + base,
-                                                 std::min(kChunkWords, key.size() - base)));
+  // Chunks `words` and interns the state; any thread. A chunk whose words
+  // equal `parent`'s chunk at the same offset and length takes that chunk's
+  // ref and hash; only the chunks that differ are hashed and interned. The
+  // state hash mixes the length and the chunk hashes in order: a function
+  // of content alone that needs no second pass over the words.
+  std::int32_t Intern(Scratch& sc, std::span<const Word> words, const Materialized& parent) {
+    sc.refs.clear();
+    std::uint64_t hash = Mix64(words.size());
+    for (std::size_t i = 0, base = 0; base < words.size(); ++i, base += kChunkWords) {
+      const std::size_t count = std::min(kChunkWords, words.size() - base);
+      std::uint64_t chunk_hash = 0;
+      // The parent's chunk i must end where this one does: same offset and length.
+      if (std::min(base + kChunkWords, parent.words.size()) == base + count &&
+          std::memcmp(words.data() + base, parent.words.data() + base, count * sizeof(Word)) == 0) {
+        sc.refs.push_back(parent.refs[i]);
+        chunk_hash = parent.hashes[i];
+      } else {
+        chunk_hash = HashWords(words.data() + base, count);
+        sc.refs.push_back(store_->InternChunk(chunk_hash, words.data() + base, count));
+      }
+      hash = Mix64(hash ^ chunk_hash);
     }
-    return store_->InternState(HashWords(key.data(), key.size()), sc.intern_refs.data(),
-                               sc.intern_refs.size(), key.size());
+    return store_->InternState(hash, sc.refs, words.size());
   }
 
   // Appends Φ^colour of `sys` into `buf` (cleared first) and compares it
@@ -510,7 +519,7 @@ class ExhaustiveRun {
   void Successor(Scratch& sc, Expansion& e, bool expand, int cond, int exempt, Mutate mutate,
                  Describe describe) {
     const auto ordinal = static_cast<std::uint32_t>(e.succs.size());
-    Restore(*sc.work, sc.key, sc);
+    Restore(*sc.work, sc.key.words, sc);
     mutate(*sc.work);
     if (!expand) {
       return;
@@ -530,7 +539,7 @@ class ExhaustiveRun {
     e.checks.push_back(checks);
     sc.ser.clear();
     sc.work->AppendFullState(sc.ser);
-    e.succs.push_back(Intern(sc, sc.ser));
+    e.succs.push_back(Intern(sc, sc.ser, sc.key));
   }
 
   // Every successor of one state, in canonical order, and the state's
@@ -548,8 +557,8 @@ class ExhaustiveRun {
       ++sc.expanded;
     }
 
-    store_->MaterializeState(from, sc.refs, sc.key);
-    Restore(*sc.base, sc.key, sc);
+    store_->MaterializeState(from, sc.key, sc.refs);
+    Restore(*sc.base, sc.key.words, sc);
     const int active = sc.base->Colour();
     e.colour = active;
     AddField(e, NextopTable(), [&](std::vector<Word>& out) {

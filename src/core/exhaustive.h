@@ -35,7 +35,8 @@
 // checker stores only the serialized words — deduplicated 64-word chunks in
 // a flat arena — and reconstructs live systems on demand into thread-local
 // scratch instances, so peak memory is O(serialized words), not O(live
-// machines).
+// machines). A successor is stored by hashing only the chunks that differ
+// from its parent's; every equality test compares words (PERFORMANCE.md §4).
 #ifndef SRC_CORE_EXHAUSTIVE_H_
 #define SRC_CORE_EXHAUSTIVE_H_
 
@@ -74,7 +75,8 @@ struct ExhaustiveReport {
   // tables and hash indexes) at the end of the run — the checker keeps no
   // live machine per state, so this is the scaling-relevant number. The
   // store holds every successor of every expanded state, so a truncated run
-  // also counts the successors it computed but did not admit.
+  // also counts the successors it computed but did not admit. Table sizes
+  // follow from the final contents, not from the order of appends.
   std::size_t peak_state_bytes = 0;
   // RestoreFullState calls the run made: one per expanded or frontier state
   // plus one per successor it applies. The class check restores nothing.

@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/hash.h"
 #include "src/base/rng.h"
 #include "src/base/types.h"
 
@@ -53,11 +52,6 @@ inline constexpr int kColourNone = -1;
 struct AbstractState {
   std::vector<Word> words;
 
-  std::uint64_t Hash() const {
-    Hasher h;
-    h.MixRange(words);
-    return h.digest();
-  }
   bool operator==(const AbstractState& other) const = default;
 };
 

@@ -177,13 +177,14 @@ TEST(ModelConditions, OperationIdFormatting) {
   EXPECT_FALSE(a == b);
 }
 
-TEST(ModelConditions, AbstractStateHashMatchesEquality) {
+TEST(ModelConditions, AbstractStateEqualityIsWordEquality) {
   AbstractState a{{1, 2, 3}};
   AbstractState b{{1, 2, 3}};
   AbstractState c{{1, 2, 4}};
+  AbstractState d{{1, 2}};
   EXPECT_EQ(a, b);
-  EXPECT_EQ(a.Hash(), b.Hash());
-  EXPECT_NE(a.Hash(), c.Hash());
+  EXPECT_NE(a, c);
+  EXPECT_NE(a, d);
 }
 
 }  // namespace

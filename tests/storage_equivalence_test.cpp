@@ -4,20 +4,25 @@
 // golden renderings below were captured from that implementation before the
 // store was introduced. The class-check goldens after them were captured
 // from the checker that restored and re-ran every Φ-equal pair, with its
-// per-group pair cap lifted. Every counter, per-condition stat, violation
-// order and Summary() byte is pinned, serial and parallel.
+// per-group pair cap lifted. The device-unit goldens were captured from the
+// checker that hashed every chunk of every successor. Every counter,
+// per-condition stat, violation order and Summary() byte is pinned, serial
+// and parallel.
 //
 // Also here: FullState ∘ RestoreFullState round-trip properties, since the
 // equivalence above is exactly as trustworthy as that inverse.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "src/base/thread_pool.h"
 #include "src/core/exhaustive.h"
 #include "src/core/kernel_system.h"
+#include "src/machine/devices.h"
 #include "src/model/toy_systems.h"
+#include "tests/kernelized_lockstep.h"
 
 namespace sep {
 namespace {
@@ -246,6 +251,39 @@ constexpr char kGoldenCycle2048[] =
     "C1 0/3584 C2 0/2048 C3 0/0 C4 0/0 C5 0/0 C6 0/3584 => SEPARABLE\n"
     "transitions=2048 pairs=30166\n";
 
+// A kernelized machine that owns a device: an interrupt-driven serial echo
+// (the lockstep gate's kSerialEcho) beside a regime that only counts and
+// swaps. The serial line is the one unit, so conditions (3), (4) and (5)
+// run on a real machine, and an injected input lengthens FullState() by
+// growing the line's receive queue. Memory is sized to the carve-out.
+constexpr char kSpin[] = R"(
+LOOP:   INC R3
+        TRAP 0
+        BR LOOP
+)";
+
+std::unique_ptr<KernelizedSystem> BuildEcho(const KernelFaults& faults = {}) {
+  SystemBuilder builder;
+  const int slu = builder.AddDevice(std::make_unique<SerialLine>("slu", 16, 4, 2));
+  EXPECT_TRUE(builder.AddRegime("echo", 64, lockstep::kSerialEcho, {slu}).ok());
+  EXPECT_TRUE(builder.AddRegime("spin", 64, kSpin).ok());
+  builder.WithFaults(faults);
+  auto system = builder.Build();
+  EXPECT_TRUE(system.ok()) << system.error();
+  return std::move(system.value());
+}
+
+constexpr char kGoldenEcho1024[] =
+    "1024 states, 1999 transitions, 519698 pairs, partial: "
+    "C1 0/24 C2 0/500 C3 0/15 C4 0/1499 C5 0/5 C6 0/24 => SEPARABLE\n"
+    "transitions=1999 pairs=519698\n";
+
+const std::string kGoldenEchoBroadcast1024 =
+    "1024 states, 1999 transitions, 517662 pairs, partial: "
+    "C1 0/24 C2 2/500 C3 0/15 C4 0/1499 C5 0/5 C6 0/24 => VIOLATIONS\n"
+    "transitions=1999 pairs=517662\n" +
+    Repeat("V c2 colour1 step0 operation of colour 0 changed Φ of colour 1\n", 2);
+
 TEST(StorageEquivalence, KernelizedGoodMatchesGolden) {
   auto system = BuildHalting();
   EXPECT_EQ(Check(*system, 1), kGoldenGood);
@@ -313,6 +351,15 @@ TEST(StorageEquivalence, CycleConfigMatchesGolden) {
   ExpectGolden(*BuildCycle(), kGoldenCycle2048, options);
 }
 
+TEST(StorageEquivalence, DeviceUnitMatchesGolden) {
+  ExhaustiveOptions options;
+  options.max_states = 1024;
+  ExpectGolden(*BuildEcho(), kGoldenEcho1024, options);
+  KernelFaults faults;
+  faults.broadcast_interrupts = true;
+  ExpectGolden(*BuildEcho(faults), kGoldenEchoBroadcast1024, options);
+}
+
 TEST(StorageEquivalence, SchedulePerturbationKeepsReportsByteIdentical) {
   // Thread counts change which worker expands which state and in what
   // order; steal_seed has no effect but is still swept, so a dependence on
@@ -369,6 +416,24 @@ TEST(StorageEquivalence, StoreDiagnosticsAreDeterministic) {
   EXPECT_GT(a.restore_count, 0u);
   EXPECT_EQ(a.peak_state_bytes, b.peak_state_bytes);
   EXPECT_EQ(a.restore_count, b.restore_count);
+}
+
+TEST(StorageEquivalence, StoreSizeDoesNotDependOnTheSchedule) {
+  // Ref lists and tail chunks are appended many words at a time, in
+  // whatever order the workers reach their shard. Repeated runs at every
+  // thread count must still build a store of the same size.
+  auto system = BuildEcho();
+  ExhaustiveOptions options;
+  options.max_states = 16384;
+  const ExhaustiveReport serial = CheckSeparabilityExhaustive(*system, options);
+  for (int threads : {1, 2, 4, ThreadPool::HardwareThreads()}) {
+    options.threads = threads;
+    for (int run = 0; run < 3; ++run) {
+      const ExhaustiveReport r = CheckSeparabilityExhaustive(*system, options);
+      EXPECT_EQ(r.peak_state_bytes, serial.peak_state_bytes) << "threads=" << threads;
+      EXPECT_EQ(r.restore_count, serial.restore_count) << "threads=" << threads;
+    }
+  }
 }
 
 // --- FullState ∘ RestoreFullState = id -----------------------------------
