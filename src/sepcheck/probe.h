@@ -2,9 +2,9 @@
 //
 // The ground truth against which sepcheck's syntactic verdicts are judged,
 // lifting the src/ifa/semantic.* pattern from SIMPL programs to whole
-// kernelized machines: build the same system twice, differing only in
-// designated "secret" words of one regime's partition, run both for the
-// same number of steps, and compare the observing regime's abstract
+// kernelized machines: run the same system twice from its boot state,
+// differing only in designated "secret" words of one regime's partition,
+// for the same number of steps, and compare the observing regime's abstract
 // projection Φ^observer. If the projections ever differ, information about
 // the secret reached the observer semantically; if they never differ over
 // all trials, a syntactic flag against this system is a false positive
@@ -32,10 +32,20 @@ struct MachineProbeSpec {
   std::uint64_t seed = 0x5EC2;
 };
 
-// Builds a fresh system per run via `make`; run B of each trial gets random
-// values written into the secret words before execution. Returns true iff
-// any trial left the observer's abstract projection different from the
-// unmodified run's.
+// Builds the system once via `make` and saves its boot state. Run A, the
+// unmodified run, is deterministic, so it runs once and its observer
+// projection is kept. Each trial restores the boot state, writes random
+// values (drawn from `seed`, in trial then address order) into the secret
+// words and runs B. Returns true iff any trial left the observer's abstract
+// projection different from run A's. Errs, before any run, when `trials` is
+// below 1, `steps` is 0, a regime index is out of range or a secret address
+// lies outside the secret regime's partition.
+//
+// Completeness premise: KernelizedSystem::RestoreFullState restores every
+// bit of state a run reads, so a restored system runs exactly like a fresh
+// build of it. A restore leaves alone only what no run reads: the tick
+// counter (event timestamps), the statistics counters, and the derived
+// predecode and superblock caches, which revalidate by page version.
 Result<bool> MachineSemanticallyLeaks(
     const std::function<Result<std::unique_ptr<KernelizedSystem>>()>& make,
     const MachineProbeSpec& spec);

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
+#include "src/base/rng.h"
 #include "src/sepcheck/absdomain.h"
 #include "src/sepcheck/analyzer.h"
 #include "src/sepcheck/annotations.h"
@@ -155,6 +157,13 @@ const Finding& Get(const std::vector<Finding>& findings, const std::string& kind
   ADD_FAILURE() << "no finding of kind " << kind;
   static Finding none;
   return none;
+}
+
+const CatalogEntry* FindEntry(const std::string& name) {
+  for (const CatalogEntry& e : Catalog()) {
+    if (e.name == name) return &e;
+  }
+  return nullptr;
 }
 
 TEST(AnalyzeProgram, InPartitionAccessIsSilent) {
@@ -318,10 +327,7 @@ TEST(AnalyzeProgram, InterruptHandlersAreDiscoveredThroughSetvec) {
 // --- the wire-cut check and the SWAP-analogue story ----------------------
 
 TEST(AnalyzeSystem, UncutChannelIsFlaggedAsSharedObject) {
-  const CatalogEntry* entry = nullptr;
-  for (const CatalogEntry& e : Catalog()) {
-    if (e.name == "swap-analogue-undischarged") entry = &e;
-  }
+  const CatalogEntry* entry = FindEntry("swap-analogue-undischarged");
   ASSERT_NE(entry, nullptr);
 
   // 1. The syntactic pass flags the shared ring object...
@@ -341,10 +347,7 @@ TEST(AnalyzeSystem, UncutChannelIsFlaggedAsSharedObject) {
   // 3. ...and the disjointness annotation discharges the flag: the same
   // system with the annotated source certifies (catalogue entry
   // "quickstart" is exactly that configuration).
-  const CatalogEntry* annotated = nullptr;
-  for (const CatalogEntry& e : Catalog()) {
-    if (e.name == "quickstart") annotated = &e;
-  }
+  const CatalogEntry* annotated = FindEntry("quickstart");
   ASSERT_NE(annotated, nullptr);
   auto discharged = AnalyzeSystem(annotated->spec);
   ASSERT_TRUE(discharged.ok());
@@ -373,10 +376,7 @@ TEST(Probe, DetectsARealLeakThroughTheChannel) {
   // The control entry ships its secret word down the declared channel: the
   // probe must see it. This is what makes the "secure" verdicts above
   // non-vacuous.
-  const CatalogEntry* entry = nullptr;
-  for (const CatalogEntry& e : Catalog()) {
-    if (e.name == "leaky-sender-control") entry = &e;
-  }
+  const CatalogEntry* entry = FindEntry("leaky-sender-control");
   ASSERT_NE(entry, nullptr);
   auto analysis = AnalyzeSystem(entry->spec);
   ASSERT_TRUE(analysis.ok());
@@ -385,6 +385,122 @@ TEST(Probe, DetectsARealLeakThroughTheChannel) {
                                         entry->probe);
   ASSERT_TRUE(leaks.ok()) << leaks.error();
   EXPECT_TRUE(*leaks) << "the probe must detect secret-dependence";
+}
+
+// Writes `secrets` into the probe's secret words, then runs the probe's
+// step count.
+void PlantAndRun(KernelizedSystem& sys, const MachineProbeSpec& probe,
+                 const std::vector<Word>& secrets) {
+  const RegimeConfig& rc =
+      sys.kernel().config().regimes[static_cast<std::size_t>(probe.secret_regime)];
+  for (std::size_t i = 0; i < secrets.size(); ++i) {
+    sys.machine().PhysWrite(rc.mem_base + probe.secret_addrs[i], secrets[i]);
+  }
+  sys.Run(probe.steps);
+}
+
+TEST(Probe, RestoredSystemRunsLikeAFreshBuild) {
+  // The premise the probe rests on, checked without the probe: a system
+  // restored to its boot state after runs have warmed its caches, then
+  // given a trial's secrets, ends in the same state as a fresh build given
+  // the same secrets.
+  int probed = 0;
+  for (const CatalogEntry& entry : Catalog()) {
+    if (!entry.has_probe) continue;
+    ++probed;
+    const MachineProbeSpec& probe = entry.probe;
+    auto warm = BuildEntrySystem(entry);
+    ASSERT_TRUE(warm.ok()) << entry.name << ": " << warm.error();
+    std::vector<Word> boot;
+    (*warm)->AppendFullState(boot);
+    (*warm)->Run(probe.steps);
+    Rng rng(probe.seed);
+    for (int trial = 0; trial < probe.trials; ++trial) {
+      std::vector<Word> secrets;
+      for (std::size_t i = 0; i < probe.secret_addrs.size(); ++i) {
+        secrets.push_back(static_cast<Word>(rng.Next() & 0xFFFF));
+      }
+      ASSERT_TRUE((*warm)->RestoreFullState(boot)) << entry.name;
+      PlantAndRun(**warm, probe, secrets);
+      auto fresh = BuildEntrySystem(entry);
+      ASSERT_TRUE(fresh.ok()) << entry.name << ": " << fresh.error();
+      PlantAndRun(**fresh, probe, secrets);
+
+      EXPECT_EQ((*warm)->machine().StateHash(), (*fresh)->machine().StateHash())
+          << entry.name << " trial " << trial;
+      for (int c = 0; c < (*fresh)->ColourCount(); ++c) {
+        EXPECT_EQ((*warm)->kernel().AbstractProjection(c),
+                  (*fresh)->kernel().AbstractProjection(c))
+            << entry.name << " trial " << trial << " colour " << c;
+      }
+    }
+  }
+  EXPECT_GE(probed, 5);
+}
+
+TEST(Probe, BuildsTheSystemOnce) {
+  // A secure entry runs every trial; a leaking one stops after the first.
+  for (const char* name : {"quickstart", "leaky-sender-control"}) {
+    const CatalogEntry* entry = FindEntry(name);
+    ASSERT_NE(entry, nullptr) << name;
+    int builds = 0;
+    auto leaks = MachineSemanticallyLeaks(
+        [&] {
+          ++builds;
+          return BuildEntrySystem(*entry);
+        },
+        entry->probe);
+    ASSERT_TRUE(leaks.ok()) << name << ": " << leaks.error();
+    EXPECT_EQ(*leaks, entry->probe_expect_leak) << name;
+    EXPECT_EQ(builds, 1) << name;
+  }
+}
+
+TEST(Probe, RejectsASpecThatRunsNothing) {
+  // Without the check either spec would report a leaking system secure.
+  const CatalogEntry* entry = FindEntry("leaky-sender-control");
+  ASSERT_NE(entry, nullptr);
+  int builds = 0;
+  const auto make = [&] {
+    ++builds;
+    return BuildEntrySystem(*entry);
+  };
+  for (int trials : {0, -1}) {
+    MachineProbeSpec spec = entry->probe;
+    spec.trials = trials;
+    auto leaks = MachineSemanticallyLeaks(make, spec);
+    ASSERT_FALSE(leaks.ok()) << trials;
+    EXPECT_EQ(leaks.error(), "probe needs at least one trial");
+  }
+  MachineProbeSpec no_steps = entry->probe;
+  no_steps.steps = 0;
+  auto leaks = MachineSemanticallyLeaks(make, no_steps);
+  ASSERT_FALSE(leaks.ok());
+  EXPECT_EQ(leaks.error(), "probe needs at least one step per run");
+  EXPECT_EQ(builds, 0);
+}
+
+TEST(Probe, RejectsRegimesAndSecretsOutsideTheSystem) {
+  const CatalogEntry* entry = FindEntry("leaky-sender-control");
+  ASSERT_NE(entry, nullptr);
+  const auto make = [&] { return BuildEntrySystem(*entry); };
+  const int regimes = static_cast<int>(entry->spec.regimes.size());
+  for (auto [secret, observer] : {std::pair{regimes, 1}, std::pair{-1, 1},
+                                  std::pair{0, regimes}, std::pair{0, -1}}) {
+    MachineProbeSpec spec = entry->probe;
+    spec.secret_regime = secret;
+    spec.observer_regime = observer;
+    auto leaks = MachineSemanticallyLeaks(make, spec);
+    ASSERT_FALSE(leaks.ok()) << secret << " " << observer;
+    EXPECT_EQ(leaks.error(), "probe regime index out of range");
+  }
+  // One word past the end of the secret regime's partition.
+  MachineProbeSpec spec = entry->probe;
+  const std::size_t secret = static_cast<std::size_t>(spec.secret_regime);
+  spec.secret_addrs.push_back(static_cast<Word>(entry->spec.regimes[secret].mem_words));
+  auto leaks = MachineSemanticallyLeaks(make, spec);
+  ASSERT_FALSE(leaks.ok());
+  EXPECT_EQ(leaks.error(), "secret address outside the secret regime's partition");
 }
 
 TEST(Catalog, EveryEntryMeetsItsExpectation) {
