@@ -166,4 +166,14 @@ SnfeRecoverableTopology BuildSnfePairRecoverable(Network& net, CensorStrictness 
   return topo;
 }
 
+void InjectCrashChaos(Network& net, const RecoverableTunnel& tunnel, std::uint64_t seed) {
+  NodeFaultSpec spec;
+  spec.crash_percent = 1;
+  spec.max_crashes = 2;
+  spec.min_restart_delay = 4;
+  spec.max_restart_delay = 24;
+  net.InjectNodeFaults(tunnel.ingress_node, spec, seed);
+  net.InjectNodeFaults(tunnel.egress_node, spec, seed ^ 0xFEEDULL);
+}
+
 }  // namespace sep

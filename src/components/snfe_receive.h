@@ -119,6 +119,14 @@ SnfeRecoverableTopology BuildSnfePairRecoverable(Network& net, CensorStrictness 
                                                  std::uint64_t key = 0xC0FFEE,
                                                  const ReliableConfig& reliable = {});
 
+// E18's crash-chaos schedule, the one `chaos_run --seed-range` sweeps: the
+// recoverable pair's wire faults are drawn from CrashChaosWireSeed(seed),
+// and InjectCrashChaos lets both tunnel endpoints crash in 1% of their
+// quanta, at most twice each, and restart 4-24 ticks later, drawn from
+// `seed`.
+constexpr std::uint64_t CrashChaosWireSeed(std::uint64_t seed) { return seed ^ 0xD00DULL; }
+void InjectCrashChaos(Network& net, const RecoverableTunnel& tunnel, std::uint64_t seed);
+
 }  // namespace sep
 
 #endif  // SRC_COMPONENTS_SNFE_RECEIVE_H_

@@ -1,6 +1,7 @@
 #include "src/distributed/network.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "src/base/strings.h"
@@ -26,13 +27,17 @@ void NoteRestore(int node, Tick now, bool cold) {
 
 }  // namespace
 
+void NodeContext::ThrowNoSuchPort(int port, std::size_t ports) {
+  throw std::out_of_range(Format("NodeContext: no port %d (the node has %zu)", port, ports));
+}
+
 bool Link::Push(Word w, Tick now) {
   if (Space() == 0) {
     return false;
   }
   const Tick base_at = now + latency_;
   if (!faults_) {
-    in_flight_.push_back({w, base_at});
+    Enqueue(w, base_at);
     return true;
   }
   const FaultPlan::Decision d = faults_->Decide();
@@ -40,7 +45,7 @@ bool Link::Push(Word w, Tick now) {
     return true;  // accepted by the wire, lost in flight
   }
   const Word v = static_cast<Word>(w ^ d.corrupt_mask);
-  in_flight_.push_back({v, base_at + d.extra_delay});
+  Enqueue(v, base_at + d.extra_delay);
   if (d.reorder && in_flight_.size() >= 2) {
     // The new word overtakes its predecessor: swap the two words while each
     // keeps its delivery slot, so the earlier slot now carries the newer word.
@@ -48,24 +53,34 @@ bool Link::Push(Word w, Tick now) {
   }
   if (d.duplicate) {
     // The echo ignores capacity accounting — see Link::Space().
-    in_flight_.push_back({v, base_at + d.extra_delay + 1});
+    Enqueue(v, base_at + d.extra_delay + 1);
   }
   return true;
 }
 
 void Link::Advance(Tick now) {
-  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-    if (it->deliver_at <= now) {
-      ready_.push_back(it->word);
-      it = in_flight_.erase(it);
+  if (next_due_ > now) {
+    return;
+  }
+  Tick next_due = kNothingDue;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < in_flight_.size(); ++i) {
+    const InFlight flight = in_flight_[i];
+    if (flight.deliver_at <= now) {
+      ready_.push_back(flight.word);
     } else {
-      ++it;
+      in_flight_[kept++] = flight;
+      next_due = std::min(next_due, flight.deliver_at);
     }
   }
+  in_flight_.resize(kept);
+  next_due_ = next_due;
 }
 
 int Network::AddNode(std::unique_ptr<Process> process) {
-  nodes_.push_back(Node{std::move(process), {}, {}});
+  Node node;
+  node.process = std::move(process);
+  nodes_.push_back(std::move(node));
   return static_cast<int>(nodes_.size()) - 1;
 }
 
@@ -79,8 +94,8 @@ int Network::Connect(int from, int to, std::size_t capacity, Tick latency,
                                        nodes_[static_cast<std::size_t>(to)].process->name().c_str())
                               : name;
   links_.push_back(std::make_unique<Link>(link_name, capacity, latency));
-  nodes_[static_cast<std::size_t>(from)].out_links.push_back(id);
-  nodes_[static_cast<std::size_t>(to)].in_links.push_back(id);
+  nodes_[static_cast<std::size_t>(from)].out_links.push_back(links_.back().get());
+  nodes_[static_cast<std::size_t>(to)].in_links.push_back(links_.back().get());
   edges_.push_back(Edge{from, to, link_name});
   return id;
 }
@@ -132,17 +147,7 @@ bool Network::Step() {
     if (node.status.stalled_until > now_) {
       continue;  // frozen, state intact
     }
-    std::vector<Link*> in;
-    in.reserve(node.in_links.size());
-    for (int id : node.in_links) {
-      in.push_back(links_[static_cast<std::size_t>(id)].get());
-    }
-    std::vector<Link*> out;
-    out.reserve(node.out_links.size());
-    for (int id : node.out_links) {
-      out.push_back(links_[static_cast<std::size_t>(id)].get());
-    }
-    NodeContext ctx(std::move(in), std::move(out), now_);
+    NodeContext ctx(node.in_links, node.out_links, now_);
     node.process->Step(ctx);
     ++node.executed_quanta;
     if (node.recoverable && node.checkpoint_interval > 0 &&
@@ -187,11 +192,11 @@ void Network::CrashNode(Node& node, int index, Tick restart_delay) {
   // Flush every incident link: words in flight to a dead port have nobody
   // listening, and words the dead incarnation pushed must not reach peers
   // as ghosts of a session that no longer exists.
-  for (int id : node.in_links) {
-    links_[static_cast<std::size_t>(id)]->Reset(now_);
+  for (Link* link : node.in_links) {
+    link->Reset(now_);
   }
-  for (int id : node.out_links) {
-    links_[static_cast<std::size_t>(id)]->Reset(now_);
+  for (Link* link : node.out_links) {
+    link->Reset(now_);
   }
   NoteCrash(index, now_, node.status.down_until - now_);
 }
@@ -215,8 +220,8 @@ void Network::RestartNode(Node& node, int index) {
   }
   // In-links may have accumulated traffic addressed to the dead incarnation
   // while the node was down; the reborn process must start from silence.
-  for (int id : node.in_links) {
-    links_[static_cast<std::size_t>(id)]->Reset(now_);
+  for (Link* link : node.in_links) {
+    link->Reset(now_);
   }
   node.status.up = true;
   const Tick recovered_from = cold ? 0 : node.status.last_checkpoint_at;
@@ -229,11 +234,18 @@ void Network::RestartNode(Node& node, int index) {
 }
 
 void Network::TakeCheckpoint(Node& node) {
-  std::vector<Word> image;
-  if (!node.process->Checkpoint(image)) {
+  // The image is serialized into the node's spare buffer, which then trades
+  // places with the stored checkpoint; once both have grown to the image's
+  // size, checkpointing allocates nothing.
+  node.checkpoint_buffer.clear();
+  if (!node.process->Checkpoint(node.checkpoint_buffer)) {
     return;
   }
-  node.checkpoint = std::move(image);
+  if (node.checkpoint.has_value()) {
+    node.checkpoint->swap(node.checkpoint_buffer);
+  } else {
+    node.checkpoint = std::move(node.checkpoint_buffer);
+  }
   node.status.last_checkpoint_at = now_;
   ++node.status.checkpoints;
 }

@@ -10,12 +10,16 @@
 //
 // Execution is deterministic: Network::Step() first advances every link
 // (delivering words whose latency has elapsed), then gives every node's
-// process one quantum, in node order.
+// process one quantum, in node order. A quantum allocates nothing of its
+// own: each node's ports are fixed when Connect declares them, and a link
+// with no word due returns from Advance at once.
 #ifndef SRC_DISTRIBUTED_NETWORK_H_
 #define SRC_DISTRIBUTED_NETWORK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -50,7 +54,9 @@ class Process {
   // checkpoint is a commit point (e.g. a reliable receiver releases ACKs
   // only for checkpointed data — the classic write-ahead rule), so the
   // process may need to advance commit bookkeeping as part of the snapshot.
-  // The default "not recoverable" keeps every existing process unchanged.
+  // `out` arrives empty; the network reuses its storage from one checkpoint
+  // to the next. The default "not recoverable" keeps every existing process
+  // unchanged.
   virtual bool Checkpoint(std::vector<Word>& out) {
     (void)out;
     return false;
@@ -99,12 +105,16 @@ class Link {
     return used >= capacity_ ? 0 : capacity_ - used;
   }
 
-  // Moves every in-flight word whose delivery tick has elapsed to the ready
-  // queue. Scans the whole flight deque: fault-injected extra delay makes
-  // deliver_at non-monotone, and a delayed word must not hold up words
-  // behind it (that would turn "delay" into head-of-line blocking rather
-  // than reordering). Without faults deliver_at is monotone and this is
-  // exactly the old prefix pop.
+  // Moves every in-flight word whose delivery tick has come to the ready
+  // queue. The link keeps the earliest delivery tick in flight, so while
+  // that tick is ahead (the flight is empty, or every word in it is still
+  // on the wire) Advance returns after one comparison. Otherwise one
+  // stable pass moves the due words, in flight order, and closes ranks
+  // behind them. Fault-injected extra delay makes delivery ticks
+  // non-monotone in flight order: a delayed word is overtaken by the words
+  // pushed after it and never holds them up (that would turn "delay" into
+  // head-of-line blocking rather than reordering). Without faults the due
+  // words are a prefix of the flight.
   void Advance(Tick now);
 
   // Flush: deterministically discards every word in the wire (in flight AND
@@ -114,6 +124,7 @@ class Link {
   // wire's own misbehaviour) survives a reset; only traffic dies.
   void Reset(Tick now) {
     in_flight_.clear();
+    next_due_ = kNothingDue;
     ready_.clear();
     ++resets_;
     last_reset_ = now;
@@ -138,10 +149,18 @@ class Link {
     Word word;
     Tick deliver_at;
   };
+  static constexpr Tick kNothingDue = std::numeric_limits<Tick>::max();
+
+  void Enqueue(Word w, Tick deliver_at) {
+    in_flight_.push_back({w, deliver_at});
+    next_due_ = std::min(next_due_, deliver_at);
+  }
+
   std::string name_;
   std::size_t capacity_;
   Tick latency_;
-  std::deque<InFlight> in_flight_;
+  std::vector<InFlight> in_flight_;  // flight order
+  Tick next_due_ = kNothingDue;      // earliest deliver_at in in_flight_
   std::deque<Word> ready_;
   std::uint64_t total_pushed_ = 0;
   std::uint64_t resets_ = 0;
@@ -149,17 +168,20 @@ class Link {
   std::unique_ptr<FaultPlan> faults_;
 };
 
-// The services a process sees during a step: its node's ports.
+// The services a process sees during a step: its node's ports. The context
+// views the port lists its node's Connect calls built, so constructing one
+// allocates nothing; it must not outlive the quantum it was made for. A
+// port number the node lacks throws std::out_of_range.
 class NodeContext {
  public:
-  NodeContext(std::vector<Link*> in, std::vector<Link*> out, Tick now)
-      : in_(std::move(in)), out_(std::move(out)), now_(now) {}
+  NodeContext(std::span<Link* const> in, std::span<Link* const> out, Tick now)
+      : in_(in), out_(out), now_(now) {}
 
   int in_port_count() const { return static_cast<int>(in_.size()); }
   int out_port_count() const { return static_cast<int>(out_.size()); }
 
   bool Send(int port, Word w) {
-    Link* link = out_.at(static_cast<std::size_t>(port));
+    Link* link = Port(out_, port);
     if (!link->Push(w, now_)) {
       return false;
     }
@@ -167,20 +189,25 @@ class NodeContext {
     return true;
   }
 
-  std::optional<Word> Receive(int port) { return in_.at(static_cast<std::size_t>(port))->Pop(); }
+  std::optional<Word> Receive(int port) { return Port(in_, port)->Pop(); }
 
-  std::size_t Available(int port) const {
-    return in_.at(static_cast<std::size_t>(port))->ReadyCount();
-  }
-  std::size_t SendSpace(int port) const {
-    return out_.at(static_cast<std::size_t>(port))->Space();
-  }
+  std::size_t Available(int port) const { return Port(in_, port)->ReadyCount(); }
+  std::size_t SendSpace(int port) const { return Port(out_, port)->Space(); }
 
   Tick now() const { return now_; }
 
  private:
-  std::vector<Link*> in_;
-  std::vector<Link*> out_;
+  static Link* Port(std::span<Link* const> ports, int port) {
+    if (port < 0 || static_cast<std::size_t>(port) >= ports.size()) {
+      ThrowNoSuchPort(port, ports.size());
+    }
+    return ports[static_cast<std::size_t>(port)];
+  }
+  // Out of line, so a port access inlines to a compare and a cold call.
+  [[noreturn]] static void ThrowNoSuchPort(int port, std::size_t ports);
+
+  std::span<Link* const> in_;
+  std::span<Link* const> out_;
   Tick now_;
 };
 
@@ -299,8 +326,9 @@ class Network {
  private:
   struct Node {
     std::unique_ptr<Process> process;
-    std::vector<int> in_links;
-    std::vector<int> out_links;
+    // Ports in declaration order; Connect appends, nothing else changes them.
+    std::vector<Link*> in_links;
+    std::vector<Link*> out_links;
     // Recovery state (engaged only via EnableRecovery / InjectNodeFaults).
     NodeStatus status;
     bool recoverable = false;
@@ -308,6 +336,7 @@ class Network {
     std::uint64_t executed_quanta = 0;
     std::vector<Word> genesis;
     std::optional<std::vector<Word>> checkpoint;
+    std::vector<Word> checkpoint_buffer;  // the next image, swapped into `checkpoint`
     std::unique_ptr<NodeFaultPlan> fault_plan;
     struct ScriptedCrash {
       Tick at;

@@ -7,25 +7,23 @@
 
 namespace sep {
 
-Word RelChecksum(const Word* data, std::size_t count) {
+namespace {
+
+// The one checksum fold: FNV over `count` words from `first`, folded to 16
+// bits. Frames are checked where they lie, in a word array or in a deque.
+template <typename Iterator>
+Word FoldChecksum(Iterator first, std::size_t count) {
   Hasher hasher;
-  for (std::size_t i = 0; i < count; ++i) {
-    hasher.Mix(data[i]);
+  for (std::size_t i = 0; i < count; ++i, ++first) {
+    hasher.Mix(*first);
   }
   const std::uint64_t digest = hasher.digest();
   return static_cast<Word>((digest ^ (digest >> 16) ^ (digest >> 32) ^ (digest >> 48)) & 0xFFFF);
 }
 
-namespace {
-
-Word ChecksumDeque(const std::deque<Word>& buffer, std::size_t count) {
-  // The scan window is small (<= header + max segment); copy for contiguity.
-  std::vector<Word> span(buffer.begin(),
-                         buffer.begin() + static_cast<std::ptrdiff_t>(count));
-  return RelChecksum(span.data(), span.size());
-}
-
 }  // namespace
+
+Word RelChecksum(const Word* data, std::size_t count) { return FoldChecksum(data, count); }
 
 // --- ReliableSender ----------------------------------------------------------
 
@@ -33,15 +31,21 @@ ReliableSender::ReliableSender(ReliableConfig config)
     : config_(config), rto_(config.initial_rto) {}
 
 void ReliableSender::SerializeSegment(const Segment& segment) {
-  std::vector<Word> frame;
-  frame.reserve(segment.payload.size() + 4);
-  frame.push_back(kRelData);
-  frame.push_back(segment.seq);
-  frame.push_back(static_cast<Word>(segment.payload.size()));
-  frame.insert(frame.end(), segment.payload.begin(), segment.payload.end());
-  frame.push_back(RelChecksum(frame.data(), frame.size()));
-  for (int copy = 0; copy < std::max(1, config_.redundancy); ++copy) {
-    tx_queue_.insert(tx_queue_.end(), frame.begin(), frame.end());
+  // The frame is built in place at the tail of tx_queue_; the redundant
+  // copies are copied from it.
+  const std::size_t start = tx_queue_.size();
+  tx_queue_.push_back(kRelData);
+  tx_queue_.push_back(segment.seq);
+  tx_queue_.push_back(static_cast<Word>(segment.payload.size()));
+  tx_queue_.insert(tx_queue_.end(), segment.payload.begin(), segment.payload.end());
+  tx_queue_.push_back(FoldChecksum(tx_queue_.begin() + static_cast<std::ptrdiff_t>(start),
+                                   tx_queue_.size() - start));
+  const std::size_t frame_words = tx_queue_.size() - start;
+  for (int copy = 1; copy < config_.redundancy; ++copy) {
+    for (std::size_t i = 0; i < frame_words; ++i) {
+      const Word w = tx_queue_[start + i];
+      tx_queue_.push_back(w);
+    }
   }
 }
 
@@ -166,7 +170,7 @@ void ReliableSender::Pump(NodeContext& ctx, int data_out_port, int ack_in_port) 
       if (ack_rx_.size() < 3) {
         break;
       }
-      if (ChecksumDeque(ack_rx_, 2) != ack_rx_[2]) {
+      if (FoldChecksum(ack_rx_.begin(), 2) != ack_rx_[2]) {
         ack_rx_.pop_front();
         ++stats_.acks_rejected;
         continue;
@@ -182,7 +186,7 @@ void ReliableSender::Pump(NodeContext& ctx, int data_out_port, int ack_in_port) 
     if (ack_rx_.size() < 3) {
       break;
     }
-    if (ChecksumDeque(ack_rx_, 2) != ack_rx_[2]) {
+    if (FoldChecksum(ack_rx_.begin(), 2) != ack_rx_[2]) {
       ack_rx_.pop_front();
       ++stats_.acks_rejected;
       continue;
@@ -300,7 +304,7 @@ void ReliableReceiver::ParseFrames() {
       if (rx_buffer_.size() < 4) {
         return;
       }
-      if (ChecksumDeque(rx_buffer_, 3) != rx_buffer_[3]) {
+      if (FoldChecksum(rx_buffer_.begin(), 3) != rx_buffer_[3]) {
         rx_buffer_.pop_front();
         ++stats_.corrupt_discarded;
         continue;
@@ -337,7 +341,7 @@ void ReliableReceiver::ParseFrames() {
     if (rx_buffer_.size() < need) {
       return;  // frame incomplete
     }
-    if (ChecksumDeque(rx_buffer_, need - 1) != rx_buffer_[need - 1]) {
+    if (FoldChecksum(rx_buffer_.begin(), need - 1) != rx_buffer_[need - 1]) {
       rx_buffer_.pop_front();
       ++stats_.corrupt_discarded;
       continue;

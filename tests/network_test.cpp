@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+
 #include "src/components/wire.h"
 #include "src/distributed/network.h"
 
@@ -40,6 +43,17 @@ class Collector : public Process {
 
  private:
   std::vector<Word> got_;
+};
+
+// Runs a caller-given probe of its context every quantum.
+class Prober : public Process {
+ public:
+  explicit Prober(std::function<void(NodeContext&)> probe) : probe_(std::move(probe)) {}
+  std::string name() const override { return "prober"; }
+  void Step(NodeContext& ctx) override { probe_(ctx); }
+
+ private:
+  std::function<void(NodeContext&)> probe_;
 };
 
 TEST(Network, DeliversInOrder) {
@@ -175,6 +189,40 @@ TEST(Network, AdvanceDeliversDelayedWordsOutOfArrivalOrder) {
   EXPECT_EQ(link.Pop(), std::optional<Word>(0xB));
   link.Advance(20);
   EXPECT_EQ(link.Pop(), std::optional<Word>(0xA));
+}
+
+TEST(Network, PortTheNodeLacksThrowsOutOfRange) {
+  // The prober's node has exactly one in-port and one out-port, so port 0
+  // names a link on each side and ports 1 and -1 name nothing.
+  auto step_prober = [](std::function<void(NodeContext&)> probe) {
+    Network net;
+    const int source = net.AddNode(std::make_unique<Emitter>(1));
+    const int prober = net.AddNode(std::make_unique<Prober>(std::move(probe)));
+    const int sink = net.AddNode(std::make_unique<Collector>());
+    net.Connect(source, prober);
+    net.Connect(prober, sink);
+    net.Step();
+  };
+  EXPECT_NO_THROW(step_prober([](NodeContext& ctx) {
+    (void)ctx.Send(0, 7);
+    (void)ctx.Receive(0);
+    (void)ctx.Available(0);
+    (void)ctx.SendSpace(0);
+  }));
+  for (int port : {1, -1}) {
+    EXPECT_THROW(step_prober([port](NodeContext& ctx) { (void)ctx.Send(port, 7); }),
+                 std::out_of_range)
+        << "Send on port " << port;
+    EXPECT_THROW(step_prober([port](NodeContext& ctx) { (void)ctx.Receive(port); }),
+                 std::out_of_range)
+        << "Receive on port " << port;
+    EXPECT_THROW(step_prober([port](NodeContext& ctx) { (void)ctx.Available(port); }),
+                 std::out_of_range)
+        << "Available on port " << port;
+    EXPECT_THROW(step_prober([port](NodeContext& ctx) { (void)ctx.SendSpace(port); }),
+                 std::out_of_range)
+        << "SendSpace on port " << port;
+  }
 }
 
 TEST(Network, DeterministicAcrossRuns) {

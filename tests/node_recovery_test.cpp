@@ -583,13 +583,7 @@ SnfePairRun RunSnfePairRecoverable(const FaultSpec& wire, std::uint64_t wire_see
   SnfeRecoverableTopology topo = BuildSnfePairRecoverable(
       net, CensorStrictness::kSyntax, wire, wire_seed, {}, /*packet_count=*/8);
   if (crash_endpoints) {
-    NodeFaultSpec node_spec;
-    node_spec.crash_percent = 1;
-    node_spec.max_crashes = 2;
-    node_spec.min_restart_delay = 4;
-    node_spec.max_restart_delay = 24;
-    net.InjectNodeFaults(topo.tunnel.ingress_node, node_spec, crash_seed);
-    net.InjectNodeFaults(topo.tunnel.egress_node, node_spec, crash_seed ^ 0xFEEDu);
+    InjectCrashChaos(net, topo.tunnel, crash_seed);
   }
   net.Run(steps);
 
@@ -655,13 +649,7 @@ std::vector<std::string> RunGuardOverRecoverableTunnel(bool chaos, std::uint64_t
   if (chaos) {
     net.InjectFaults(tunnel.data_link, FaultSpec::DropCorrupt(20), seed * 131);
     net.InjectFaults(tunnel.ack_link, FaultSpec::DropCorrupt(20), seed * 131 + 7);
-    NodeFaultSpec node_spec;
-    node_spec.crash_percent = 1;
-    node_spec.max_crashes = 2;
-    node_spec.min_restart_delay = 4;
-    node_spec.max_restart_delay = 24;
-    net.InjectNodeFaults(tunnel.ingress_node, node_spec, seed);
-    net.InjectNodeFaults(tunnel.egress_node, node_spec, seed ^ 0xFEEDu);
+    InjectCrashChaos(net, tunnel, seed);
   }
   net.Run(80000);
   if (chaos) {

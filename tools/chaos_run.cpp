@@ -139,15 +139,9 @@ CrashChaosResult RunCrashChaos(int packets, int rate, std::uint64_t seed, bool b
   }
   SnfeRecoverableTopology topo =
       BuildSnfePairRecoverable(net, CensorStrictness::kSyntax, FaultSpec::DropCorrupt(rate),
-                               seed ^ 0xD00DULL, recovery, packets);
+                               CrashChaosWireSeed(seed), recovery, packets);
   if (script == nullptr) {
-    NodeFaultSpec spec;
-    spec.crash_percent = 1;
-    spec.max_crashes = 2;
-    spec.min_restart_delay = 4;
-    spec.max_restart_delay = 24;
-    net.InjectNodeFaults(topo.tunnel.ingress_node, spec, seed);
-    net.InjectNodeFaults(topo.tunnel.egress_node, spec, seed ^ 0xFEEDULL);
+    InjectCrashChaos(net, topo.tunnel, seed);
   } else {
     for (const ExplicitCrash& crash : *script) {
       net.ScheduleCrash(crash.ingress ? topo.tunnel.ingress_node : topo.tunnel.egress_node,
