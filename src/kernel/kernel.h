@@ -131,10 +131,16 @@ class SeparationKernel : public MachineClient {
   bool OnBeforeExecute() override;
 
  private:
-  // Kernel-partition word access.
-  Word KRead(std::uint32_t offset) const { return machine_.PhysRead(config_.kernel_base + offset); }
+  // Kernel-partition word access, straight from RAM: ValidateConfig places
+  // the partition inside memory and Machine keeps io_base >= memory size, so
+  // PhysRead/PhysWrite's device decoding could never apply here.
+  Word KRead(std::uint32_t offset) const {
+    SEP_DCHECK(offset < config_.kernel_words);
+    return machine_.memory().Read(config_.kernel_base + offset);
+  }
   void KWrite(std::uint32_t offset, Word value) {
-    machine_.PhysWrite(config_.kernel_base + offset, value);
+    SEP_DCHECK(offset < config_.kernel_words);
+    machine_.memory().Write(config_.kernel_base + offset, value);
   }
   std::uint32_t SaveOffset(int regime, std::uint32_t field) const {
     return kSaveAreaBase + static_cast<std::uint32_t>(regime) * kSaveAreaStride + field;

@@ -587,6 +587,10 @@ __attribute__((noinline)) void Machine::BuildSuperblockAt(Word entry_pc, CpuMode
     if (!add_version_guards(phys, phys + length - 1)) {
       break;
     }
+    // A stitched instruction may never have run (a predicted fall-through),
+    // so its words may not be marked yet; the version guards only see
+    // stores to marked words.
+    memory_.MarkCode(phys, length);
 
     SuperblockInsn si;
     si.insn = *decoded;
@@ -693,8 +697,9 @@ __attribute__((noinline)) CpuEvent Machine::ExecuteCpuMiss(MachineBus& bus,
   if (entry.sb != nullptr) [[unlikely]] {
     InvalidateSuperblock(entry.sb);
   }
-  // Refills are the observable face of predecode invalidation (stores,
-  // remaps and restores bump page versions; the next execution lands here).
+  // Refills are the observable face of predecode invalidation (a store into a
+  // decoded word, a load or a restore bumps a page version; the next
+  // execution lands here), besides each instruction's first execution.
   // Already out of line, so the disabled cost is one load + branch per miss.
   if (obs::Enabled()) {
     obs::Emit(obs::Category::kMachine, obs::Code::kPredecodeFill, obs::kColourKernel, tick_,
@@ -712,6 +717,8 @@ __attribute__((noinline)) CpuEvent Machine::ExecuteCpuMiss(MachineBus& bus,
     entry.version = 0;
     return interp::ExecuteOneT<MachineBus>(cpu_, bus);
   }
+  // Mark the words before the instruction runs: it may store into itself.
+  memory_.MarkCode(phys, length);
   entry.insn = *decoded;
   for (int i = 1; i < decoded->length; ++i) {
     entry.ext[i - 1] = memory_.Read(phys + static_cast<PhysAddr>(i));

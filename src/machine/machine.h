@@ -195,13 +195,15 @@ class Machine {
   //
   // The CPU phase serves decoded instructions from a flat cache keyed by the
   // physical address of the instruction word. Entries are validated against
-  // PhysicalMemory page versions (self-modifying code) and the current MMU
-  // mapping (remaps) on every step, so traces are identical with the cache
-  // on or off; see docs/PERFORMANCE.md for the invalidation protocol. The
-  // cache is derived state: it is not cloned, hashed, or snapshotted. With
-  // it on, every instruction runs on the threaded engine (RunThreaded);
-  // with it off, on the generic interpreter alone (RunStepped), the
-  // reference the tests hold the threaded engine to.
+  // PhysicalMemory page versions (self-modifying code: a refill marks the
+  // words it decodes, and a store moves its page's version only when it
+  // lands on a marked word) and the current MMU mapping (remaps) on every
+  // step, so traces are identical with the cache on or off; see
+  // docs/PERFORMANCE.md for the invalidation protocol. The cache is derived
+  // state: it is not cloned, hashed, or snapshotted. With it on, every
+  // instruction runs on the threaded engine (RunThreaded); with it off, on
+  // the generic interpreter alone (RunStepped), the reference the tests hold
+  // the threaded engine to.
 
   void set_predecode_enabled(bool enabled);
   bool predecode_enabled() const { return predecode_enabled_; }
@@ -219,11 +221,11 @@ class Machine {
   // per-64-word-page version checks are hoisted into entry guards plus a
   // recheck after each instruction that can store to memory — so inside the
   // trace no per-instruction revalidation runs at all. Any guard failure
-  // (store into a covered page, MMU remap, RestoreWords changing covered
-  // content) tears the superblock down and execution re-enters the per-step
-  // slow path; traces are bit-identical to repeated Step(). Like the
-  // predecode cache, superblocks are derived state: never cloned, hashed, or
-  // snapshotted.
+  // (store into a stitched or decoded word of a covered page, MMU remap,
+  // RestoreWords changing covered content) tears the superblock down and
+  // execution re-enters the per-step slow path; traces are bit-identical to
+  // repeated Step(). Like the predecode cache, superblocks are derived state:
+  // never cloned, hashed, or snapshotted.
 
   void set_superblock_enabled(bool enabled);
   bool superblock_enabled() const { return superblock_enabled_; }

@@ -10,12 +10,17 @@
 // interpreter's innermost path and every caller in the machine already
 // guards with InRange(); bulk operations keep the always-on SEP_CHECK.
 //
-// Write tracking: every mutation bumps the version of its 64-word page. The
-// machine's predecoded-instruction cache validates entries against those
-// versions, so self-modifying code and kernel loads invalidate exactly the
-// affected pages (see docs/PERFORMANCE.md). Versions are bookkeeping, not
-// architectural state: they are excluded from equality, and RestoreWords
-// bumps only the pages whose content changes.
+// Write tracking: each 64-word page has a version, and a mask with one bit
+// per word that the machine has decoded as an instruction word (opcode or
+// extension; MarkCode). A single-word store bumps its page's version only
+// when it lands on a marked word, so a guest's variables can share a page
+// with its code without evicting it; LoadImage, Fill and RestoreWords bump
+// every page whose content they change. The machine's predecoded-instruction
+// cache and superblocks validate against those versions, and read only
+// marked words, so self-modifying code and kernel loads still invalidate
+// exactly the affected pages (see docs/PERFORMANCE.md). Versions and masks
+// are bookkeeping, not architectural state: they are excluded from equality,
+// and masks are never cleared (a stale mark only costs a re-decode).
 #ifndef SRC_MACHINE_MEMORY_H_
 #define SRC_MACHINE_MEMORY_H_
 
@@ -32,14 +37,18 @@ namespace sep {
 
 class PhysicalMemory {
  public:
-  // Version-tracking granularity: 64 words per page keeps a data store and a
-  // nearby instruction stream in separate pages for typical guest layouts,
-  // so steady-state data writes do not evict decoded code.
+  // Version-tracking granularity: 64 words per page, so one 64-bit mask
+  // holds a page's decoded-word bits. Guests routinely keep their variables
+  // right after their code, on the same page; the mask is what keeps those
+  // stores from invalidating the code beside them.
   static constexpr int kVersionPageShift = 6;
   static constexpr std::size_t kVersionPageWords = std::size_t{1} << kVersionPageShift;
+  static_assert(kVersionPageWords == 64, "one 64-bit code mask per version page");
 
   explicit PhysicalMemory(std::size_t words)
-      : words_(words, 0), versions_(words / kVersionPageWords + 1, 1) {}
+      : words_(words, 0),
+        versions_(words / kVersionPageWords + 1, 1),
+        code_masks_(words / kVersionPageWords + 1, 0) {}
 
   std::size_t size() const { return words_.size(); }
 
@@ -51,7 +60,10 @@ class PhysicalMemory {
   void Write(PhysAddr addr, Word value) {
     SEP_DCHECK(addr < words_.size());
     words_[addr] = value;
-    ++versions_[addr >> kVersionPageShift];
+    const std::size_t page = addr >> kVersionPageShift;
+    if (((code_masks_[page] >> (addr & (kVersionPageWords - 1))) & 1) != 0) {
+      ++versions_[page];
+    }
   }
 
   bool InRange(PhysAddr addr) const { return addr < words_.size(); }
@@ -106,6 +118,18 @@ class PhysicalMemory {
 
   // --- write tracking (predecode-cache invalidation) ---
 
+  // Marks [base, base + count) as decoded instruction words, so a later
+  // Write to any of them bumps its page's version. The machine calls this
+  // for every word a predecoded entry or a superblock reads, before it is
+  // trusted; that is the invariant the version checks rest on.
+  void MarkCode(PhysAddr base, std::size_t count) {
+    SEP_DCHECK(base <= size() && count <= size() - base);
+    for (PhysAddr addr = base; addr < base + count; ++addr) {
+      code_masks_[addr >> kVersionPageShift] |= std::uint64_t{1}
+                                                << (addr & (kVersionPageWords - 1));
+    }
+  }
+
   // Version of the page containing `addr`; never 0 (cache code uses 0 as
   // "no entry").
   std::uint64_t PageVersion(PhysAddr addr) const {
@@ -131,7 +155,7 @@ class PhysicalMemory {
   }
 
   // Architectural equality is over the stored words only; version counters
-  // record mutation history, not state.
+  // and code masks record mutation and decode history, not state.
   bool operator==(const PhysicalMemory& other) const { return words_ == other.words_; }
 
  private:
@@ -148,6 +172,7 @@ class PhysicalMemory {
 
   std::vector<Word> words_;
   std::vector<std::uint64_t> versions_;
+  std::vector<std::uint64_t> code_masks_;  // bit i of page p: word p*64+i was decoded
 };
 
 }  // namespace sep

@@ -1,7 +1,8 @@
-// PhysicalMemory: copies are independent, writes and restores move only the
-// version counters (the predecode cache's invalidation signal) of the pages
-// whose content changes, and a kernelized machine's memory is exactly the
-// words its configuration carves out.
+// PhysicalMemory: copies are independent, a store moves the version counter
+// (the predecode cache's invalidation signal) of its page only when it lands
+// on a decoded word, restores move the versions of the pages whose content
+// changes, and a kernelized machine's memory is exactly the words its
+// configuration carves out.
 #include <gtest/gtest.h>
 
 #include "src/core/kernel_system.h"
@@ -50,18 +51,41 @@ TEST(CowMemory, FillAndLoadImageOnSharedPagesIsolate) {
 }
 
 TEST(CowMemory, WriteBumpsOnlyItsVersionPage) {
+  constexpr PhysAddr kPage = PhysicalMemory::kVersionPageWords;
   PhysicalMemory mem(kWords);
-  mem.Write(0, 5);
+  mem.MarkCode(kPage + 5, 1);
   const std::uint64_t v0 = mem.PageVersion(0);
-  const std::uint64_t v1 = mem.PageVersion(PhysicalMemory::kVersionPageWords);
-  const std::uint64_t v2 = mem.PageVersion(2 * PhysicalMemory::kVersionPageWords);
-  // A write into the second 64-word page moves that page's version by one
+  const std::uint64_t v1 = mem.PageVersion(kPage);
+  const std::uint64_t v2 = mem.PageVersion(2 * kPage);
+
+  // A write to a marked (decoded) word moves its own page's version by one
   // and leaves its neighbours alone.
-  mem.Write(PhysicalMemory::kVersionPageWords, 9);
+  mem.Write(kPage + 5, 9);
   EXPECT_EQ(mem.PageVersion(0), v0);
-  EXPECT_EQ(mem.PageVersion(PhysicalMemory::kVersionPageWords), v1 + 1);
-  EXPECT_EQ(mem.PageVersion(2 * PhysicalMemory::kVersionPageWords - 1), v1 + 1);
-  EXPECT_EQ(mem.PageVersion(2 * PhysicalMemory::kVersionPageWords), v2);
+  EXPECT_EQ(mem.PageVersion(kPage), v1 + 1);
+  EXPECT_EQ(mem.PageVersion(2 * kPage - 1), v1 + 1);
+  EXPECT_EQ(mem.PageVersion(2 * kPage), v2);
+
+  // A write to an unmarked word on the same page — a guest variable beside
+  // its code — moves nothing.
+  mem.Write(kPage + 6, 7);
+  mem.Write(kPage + 4, 7);
+  EXPECT_EQ(mem.Read(kPage + 6), 7u);
+  EXPECT_EQ(mem.PageVersion(0), v0);
+  EXPECT_EQ(mem.PageVersion(kPage), v1 + 1);
+  EXPECT_EQ(mem.PageVersion(2 * kPage), v2);
+
+  // A marked range that crosses a page boundary (a three-word instruction
+  // starting two words before it) marks words on both pages.
+  mem.MarkCode(2 * kPage - 2, 3);
+  mem.Write(2 * kPage - 1, 1);
+  EXPECT_EQ(mem.PageVersion(kPage), v1 + 2);
+  EXPECT_EQ(mem.PageVersion(2 * kPage), v2);
+  mem.Write(2 * kPage, 1);
+  EXPECT_EQ(mem.PageVersion(kPage), v1 + 2);
+  EXPECT_EQ(mem.PageVersion(2 * kPage), v2 + 1);
+  mem.Write(2 * kPage + 1, 1);  // just past the range
+  EXPECT_EQ(mem.PageVersion(2 * kPage), v2 + 1);
 }
 
 TEST(CowMemory, RestoreWordsRoundTripsAndKeepsUnchangedVersions) {

@@ -200,6 +200,44 @@ NEWOP:  DEC R0
   EXPECT_EQ(batched->cpu().regs[0], 0);
 }
 
+// A guest variable on the same 64-word version page as the loop that stores
+// to it (the layout of every SNFE and guard guest). Only a store into a
+// decoded word moves a page's version, so after the first pass the loop runs
+// from the cache with no refill, while staying in lockstep with the cache-off
+// reference.
+TEST(PredecodeInvalidation, DataStoreBesideCodeKeepsEntries) {
+  constexpr char kVarBesideCode[] = R"(
+START:  CLR R0
+LOOP:   INC R0
+        MOV R0, @VAR            ; data store on the loop's own page
+        CMP #50, R0
+        BNE LOOP
+        HALT
+VAR:    .WORD 0
+)";
+  auto cached = MakeBareMachine();
+  auto plain = MakeBareMachine();
+  plain->set_predecode_enabled(false);
+  LoadProgram(*cached, kVarBesideCode);
+  LoadProgram(*plain, kVarBesideCode);
+  Result<AssembledProgram> p = Assemble(kVarBesideCode);
+  ASSERT_TRUE(p.ok()) << p.error();
+  const PhysAddr var = p->symbols.at("VAR");
+  ASSERT_EQ(var >> PhysicalMemory::kVersionPageShift, 0u);  // shares page 0 with the loop
+
+  constexpr int kPassSteps = 4;  // INC, MOV, CMP, BNE
+  ExpectLockstepParity(*cached, *plain, 1 + kPassSteps);  // CLR and the first pass
+  const std::uint64_t cold_misses = cached->predecode_misses();
+  EXPECT_EQ(cold_misses, 1u + kPassSteps);
+  ExpectLockstepParity(*cached, *plain, 48 * kPassSteps);  // passes 2..49
+  EXPECT_EQ(cached->predecode_misses(), cold_misses);
+  EXPECT_EQ(cached->memory().Read(var), 49u);
+
+  ExpectLockstepParity(*cached, *plain, kPassSteps + 1);  // last pass and HALT
+  ASSERT_TRUE(cached->halted());
+  EXPECT_EQ(cached->memory().Read(var), 50u);
+}
+
 // Remapping the executing page mid-run must serve instructions from the new
 // mapping immediately even though entries for the old physical frame are
 // still warm: the fast path re-translates from live MMU state every step.

@@ -196,6 +196,45 @@ NEWOP:  DEC R0
   EXPECT_GE(fast->superblock_invalidations(), 1u);
 }
 
+// A store patches an instruction that a live trace stitched on the predicted
+// fall-through of a forward branch but that has never run: the branch is
+// taken on every pass until well after the patch. The build itself must mark
+// the stitched words, or the patch would leave the version guards unmoved
+// and the trace would run the stale instruction once the branch falls
+// through.
+TEST(SuperblockInvalidation, PatchOfStitchedButNeverRunInstruction) {
+  constexpr char kColdPatch[] = R"(
+START:  CLR R0
+        CLR R1
+        MOV NEWOP, R3           ; R3 = the DEC R1 instruction word
+LOOP:   INC R0
+        CMP #40, R0
+        BGT SKIP                ; forward: predicted to fall through, taken while R0 < 40
+COLD:   INC R1                  ; stitched, first runs at R0 = 40
+SKIP:   CMP #30, R0
+        BNE NEXT
+        MOV R3, @COLD           ; at R0 = 30, patch COLD into DEC R1
+NEXT:   CMP #60, R0
+        BNE LOOP
+        HALT
+NEWOP:  DEC R1
+)";
+  for (std::size_t chunk : {std::size_t{7}, std::size_t{64}, std::size_t{1000}}) {
+    auto fast = MakeBareMachine();
+    auto ref = MakeBareMachine();
+    ref->set_predecode_enabled(false);
+    LoadProgram(*fast, kColdPatch);
+    LoadProgram(*ref, kColdPatch);
+
+    ExpectChunkedRunParity(*fast, *ref, chunk, 2000);
+    ASSERT_TRUE(fast->halted()) << "chunk " << chunk;
+    // COLD runs for R0 = 40..60, always as the patched DEC: R1 = -21.
+    EXPECT_EQ(fast->cpu().regs[1], static_cast<Word>(-21)) << "chunk " << chunk;
+    EXPECT_GE(fast->superblock_builds(), 1u) << "chunk " << chunk;
+    EXPECT_GE(fast->superblock_invalidations(), 1u) << "chunk " << chunk;
+  }
+}
+
 // Kernel-driven MMU reprogramming landing on a live superblock, both ways a
 // remap can land: (1) the mapping changes but the anchor stays reachable
 // (page limit shrinks) — the hoisted mapping guard must catch it on entry
