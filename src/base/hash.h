@@ -7,8 +7,10 @@
 #ifndef SRC_BASE_HASH_H_
 #define SRC_BASE_HASH_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 
 namespace sep {
@@ -53,26 +55,40 @@ inline constexpr std::uint64_t Mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-// Fast hash over a span of words, four words per mix round. The exhaustive
-// checker hashes whole serialized machine states (thousands of words) per
-// interned state and per open-addressing probe; the byte-at-a-time FNV
-// Hasher above would dominate that path. Digests are never persisted, so
-// this function only needs to be deterministic within one process.
+// Fast hash over a span of words. The exhaustive checker hashes every
+// changed 64-word chunk and every record field (Φ words, NEXTOP, outputs)
+// of every state it expands; the byte-at-a-time FNV Hasher above would
+// dominate that path. Four independent 64-bit lanes each mix four words per
+// round, so a round's four multiply chains overlap instead of running one
+// after another. Digests are never persisted, so this function only needs
+// to be deterministic within one process.
 inline std::uint64_t HashWords(const std::uint16_t* words, std::size_t count) {
-  std::uint64_t h = Mix64(count + 0x9E3779B97F4A7C15ULL);
+  constexpr std::uint64_t kStep = 0x9E3779B97F4A7C15ULL;
+  const auto load = [&](std::size_t i) {
+    std::uint64_t lane;
+    std::memcpy(&lane, words + i, sizeof lane);
+    return lane;
+  };
+  std::uint64_t h[4] = {kStep, 2 * kStep, 3 * kStep, 4 * kStep};
   std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const std::uint64_t lane = static_cast<std::uint64_t>(words[i]) |
-                               (static_cast<std::uint64_t>(words[i + 1]) << 16) |
-                               (static_cast<std::uint64_t>(words[i + 2]) << 32) |
-                               (static_cast<std::uint64_t>(words[i + 3]) << 48);
-    h = Mix64(h ^ lane) + 0x9E3779B97F4A7C15ULL;
+  for (; i + 16 <= count; i += 16) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      h[l] = Mix64(h[l] ^ load(i + 4 * l)) + kStep;
+    }
+  }
+  // The last 0..15 words: whole groups of four into lanes 0, 1 and 2, then
+  // the rest, zero-padded, into the next lane. The length is mixed in last.
+  std::size_t l = 0;
+  for (; i + 4 <= count; i += 4, ++l) {
+    h[l] = Mix64(h[l] ^ load(i)) + kStep;
   }
   std::uint64_t tail = 0;
   for (int shift = 0; i < count; ++i, shift += 16) {
     tail |= static_cast<std::uint64_t>(words[i]) << shift;
   }
-  return Mix64(h ^ tail);
+  h[l] ^= tail;
+  return Mix64(h[0] ^ std::rotl(h[1], 16) ^ std::rotl(h[2], 32) ^ std::rotl(h[3], 48) ^
+               Mix64(count));
 }
 
 }  // namespace sep

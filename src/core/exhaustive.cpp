@@ -46,13 +46,19 @@ namespace {
 // actually made) and peak_state_bytes (the store actually built).
 //
 // No live SharedSystem is retained per explored state. Each state exists
-// only as its serialized FullState() words; workers reconstruct live
-// machines on demand (RestoreFullState) into per-worker scratch instances.
-// A successor differs from its parent in a few chunks, so interning it
-// hashes and looks up only those (Intern), and materializing a state copies
-// only the chunks that differ from the worker's last one (MaterializeState).
+// only as its serialized FullState() words; each worker reconstructs it
+// on demand (RestoreFullState) into one scratch instance, once per
+// successor it applies: the state's own record fields are read from the
+// restore that serves its first successor. A successor differs from its
+// parent in a few chunks, so interning it hashes and looks up only those
+// (Intern), and materializing a state copies only the chunks that differ
+// from the worker's last one (MaterializeState). The state hash is a sum
+// of position-salted per-chunk terms (ChunkTerm), so a successor's hash is
+// its parent's with the differing chunks' terms swapped.
 
 constexpr std::size_t kChunkWords = 64;
+// Chunks compared at once when a successor is interned (Intern).
+constexpr std::size_t kScanChunks = 8;
 // States expanded per parallel slice. Exploration stops at a cut rule only
 // between slices, so this bounds the work done past the cut.
 constexpr std::size_t kSliceStates = 64;
@@ -63,13 +69,24 @@ Word SaturateWord(std::size_t value) {
   return static_cast<Word>(std::min<std::size_t>(value, 0xFFFF));
 }
 
-// One stored state as a worker holds it: its words and, per
-// kChunkWords-word chunk at fixed offsets, the chunk's ref and hash.
+// One stored state as a worker holds it: its words, its state hash and,
+// per kChunkWords-word chunk at fixed offsets, the chunk's ref and hash.
 struct Materialized {
   std::vector<Word> words;
+  std::uint64_t hash = 0;
   std::vector<std::uint32_t> refs;
   std::vector<std::uint64_t> hashes;
 };
+
+// The state hash is a sum: a term for the length plus one term per chunk,
+// salted by the chunk's position. It is a function of the words alone, and
+// a successor of the same length gets its hash from its parent's by
+// swapping the terms of the chunks that differ.
+std::uint64_t LengthTerm(std::size_t len) { return Mix64(len); }
+
+std::uint64_t ChunkTerm(std::size_t index, std::uint64_t chunk_hash) {
+  return Mix64(chunk_hash + (index + 1) * 0x9E3779B97F4A7C15ULL);
+}
 
 // Compact interned storage for serialized states, sharded for concurrent
 // growth. Serializations are cut into kChunkWords-word chunks at fixed
@@ -182,6 +199,7 @@ class ShardedStateStore {
       next.assign(d.chunk_refs.begin() + d.ref_offsets[local],
                   d.chunk_refs.begin() + d.ref_offsets[local + 1]);
       len = d.lens[local];
+      m.hash = d.hashes[local];
     }
     m.words.resize(len);
     m.hashes.resize(next.size());
@@ -378,27 +396,24 @@ class ExhaustiveRun {
   }
 
  private:
-  // Per-worker scratch: two live systems reconstructed on demand plus the
+  // Per-worker scratch: one live system reconstructed on demand plus the
   // reusable buffers of every hot loop. Indexed by the pool's worker index;
   // never touched by two threads at once.
   struct Scratch {
-    std::unique_ptr<SharedSystem> base;  // the state being expanded
-    std::unique_ptr<SharedSystem> work;  // mutated per successor
+    std::unique_ptr<SharedSystem> work;  // the state, then each successor
+    bool work_is_key = false;            // work holds key, not yet mutated
     Materialized key;                    // the state being expanded, as stored
     std::vector<Word> ser;               // successor serialization scratch
     std::vector<Word> phi;               // abstraction scratch
-    std::vector<std::vector<Word>> before_phi;  // per-colour Φ of the state
-    std::vector<std::uint32_t> refs;            // chunk-ref scratch
+    std::vector<std::uint32_t> refs;     // chunk-ref scratch
     std::uint64_t restores = 0;
     std::uint64_t expanded = 0;
   };
 
   Scratch& ScratchHere() {
     Scratch& sc = scratch_[static_cast<std::size_t>(ThreadPool::CurrentWorkerIndex())];
-    if (sc.base == nullptr) {
-      sc.base = initial_->Clone();
+    if (sc.work == nullptr) {
       sc.work = initial_->Clone();
-      sc.before_phi.resize(static_cast<std::size_t>(colours_));
     }
     return sc;
   }
@@ -411,25 +426,44 @@ class ExhaustiveRun {
 
   // Chunks `words` and interns the state; any thread. A chunk whose words
   // equal `parent`'s chunk at the same offset and length takes that chunk's
-  // ref and hash; only the chunks that differ are hashed and interned. The
-  // state hash mixes the length and the chunk hashes in order: a function
-  // of content alone that needs no second pass over the words.
+  // ref; only the chunks that differ are hashed and interned. When the
+  // lengths agree, the state hash is the parent's with the differing
+  // chunks' terms swapped (ChunkTerm); otherwise it is summed afresh, from
+  // the parent's chunk hashes where the chunks match.
+  //
+  // A successor matches its parent almost everywhere, so the words are
+  // compared a block of kScanChunks chunks at a time, and chunk by chunk
+  // only inside a block that differs: one compare call per chunk cost more
+  // than the compare.
   std::int32_t Intern(Scratch& sc, std::span<const Word> words, const Materialized& parent) {
+    const bool incremental = !parent.words.empty() && words.size() == parent.words.size();
+    std::uint64_t hash = incremental ? parent.hash : LengthTerm(words.size());
+    const auto same = [&](std::size_t begin, std::size_t end) {
+      return std::memcmp(words.data() + begin, parent.words.data() + begin,
+                         (end - begin) * sizeof(Word)) == 0;
+    };
     sc.refs.clear();
-    std::uint64_t hash = Mix64(words.size());
-    for (std::size_t i = 0, base = 0; base < words.size(); ++i, base += kChunkWords) {
-      const std::size_t count = std::min(kChunkWords, words.size() - base);
-      std::uint64_t chunk_hash = 0;
-      // The parent's chunk i must end where this one does: same offset and length.
-      if (std::min(base + kChunkWords, parent.words.size()) == base + count &&
-          std::memcmp(words.data() + base, parent.words.data() + base, count * sizeof(Word)) == 0) {
-        sc.refs.push_back(parent.refs[i]);
-        chunk_hash = parent.hashes[i];
-      } else {
-        chunk_hash = HashWords(words.data() + base, count);
-        sc.refs.push_back(store_->InternChunk(chunk_hash, words.data() + base, count));
+    for (std::size_t i = 0, block = 0; block < words.size(); block += kScanChunks * kChunkWords) {
+      const std::size_t block_end = std::min(block + kScanChunks * kChunkWords, words.size());
+      const bool block_same = block_end <= parent.words.size() && same(block, block_end);
+      for (std::size_t base = block; base < block_end; ++i, base += kChunkWords) {
+        const std::size_t end = std::min(base + kChunkWords, words.size());
+        // The parent's chunk i must end where this one does: same offset and length.
+        if (std::min(base + kChunkWords, parent.words.size()) == end &&
+            (block_same || same(base, end))) {
+          sc.refs.push_back(parent.refs[i]);
+          if (!incremental) {
+            hash += ChunkTerm(i, parent.hashes[i]);
+          }
+          continue;
+        }
+        const std::uint64_t chunk_hash = HashWords(words.data() + base, end - base);
+        sc.refs.push_back(store_->InternChunk(chunk_hash, words.data() + base, end - base));
+        hash += ChunkTerm(i, chunk_hash);
+        if (incremental) {
+          hash -= ChunkTerm(i, parent.hashes[i]);
+        }
       }
-      hash = Mix64(hash ^ chunk_hash);
     }
     return store_->InternState(hash, sc.refs, words.size());
   }
@@ -437,10 +471,10 @@ class ExhaustiveRun {
   // Appends Φ^colour of `sys` into `buf` (cleared first) and compares it
   // against `expected`.
   static bool SamePhi(const SharedSystem& sys, int colour, std::vector<Word>& buf,
-                      const std::vector<Word>& expected) {
+                      std::span<const Word> expected) {
     buf.clear();
     sys.AppendAbstract(colour, buf);
-    return buf == expected;
+    return std::ranges::equal(buf, expected);
   }
 
   bool InRange(int colour) const { return colour >= 0 && colour < colours_; }
@@ -496,6 +530,13 @@ class ExhaustiveRun {
              [&](std::vector<Word>& out) { sys.AppendAbstract(colour, out); });
   }
 
+  // Φ^colour of the expanded state, as its record field holds it. e.fields
+  // starts at NEXTOP, one field after the record's COLOUR.
+  std::span<const Word> StatePhi(const Expansion& e, int colour) const {
+    const std::size_t k = PhiField(colour) - 1;
+    return {e.words.data() + e.fields[k - 1].end, e.words.data() + e.fields[k].end};
+  }
+
   // Merge thread: interns `e`'s fields and appends the state's record.
   void InternRecord(const Expansion& e) {
     records_.push_back(e.colour);
@@ -511,15 +552,19 @@ class ExhaustiveRun {
 
   // --- exploration: workers expand, the merge thread numbers ---
 
-  // One successor of the state held in sc.key: reconstructs it in sc.work
-  // and applies `mutate`, which also adds the successor's record fields.
-  // When `expand` is set it then checks condition `cond` (Φ of every colour
-  // but `exempt` is unchanged) and interns the result.
+  // One successor of the state held in sc.key: reconstructs it in sc.work,
+  // unless sc.work still holds it unmutated, and applies `mutate`, which
+  // also adds the successor's record fields. When `expand` is set it then
+  // checks condition `cond` (Φ of every colour but `exempt` is unchanged)
+  // and interns the result.
   template <typename Mutate, typename Describe>
   void Successor(Scratch& sc, Expansion& e, bool expand, int cond, int exempt, Mutate mutate,
                  Describe describe) {
     const auto ordinal = static_cast<std::uint32_t>(e.succs.size());
-    Restore(*sc.work, sc.key.words, sc);
+    if (!sc.work_is_key) {
+      Restore(*sc.work, sc.key.words, sc);
+    }
+    sc.work_is_key = false;
     mutate(*sc.work);
     if (!expand) {
       return;
@@ -532,7 +577,7 @@ class ExhaustiveRun {
         continue;
       }
       ++checks;
-      if (!SamePhi(*sc.work, c, sc.phi, sc.before_phi[static_cast<std::size_t>(c)])) {
+      if (!SamePhi(*sc.work, c, sc.phi, StatePhi(e, c))) {
         e.fails.push_back({ordinal, {cond, c, 0, describe(c)}});
       }
     }
@@ -557,21 +602,21 @@ class ExhaustiveRun {
       ++sc.expanded;
     }
 
+    // One restore serves the state's own record fields and its first
+    // successor: COLOUR, NEXTOP and every Φ^c are read before anything
+    // mutates sc.work.
     store_->MaterializeState(from, sc.key, sc.refs);
-    Restore(*sc.base, sc.key.words, sc);
-    const int active = sc.base->Colour();
+    Restore(*sc.work, sc.key.words, sc);
+    sc.work_is_key = true;
+    const int active = sc.work->Colour();
     e.colour = active;
     AddField(e, NextopTable(), [&](std::vector<Word>& out) {
-      const OperationId op = sc.base->NextOperation();
+      const OperationId op = sc.work->NextOperation();
       out.push_back(static_cast<Word>(op.kind));
       out.insert(out.end(), op.detail.begin(), op.detail.end());
     });
     for (int c = 0; c < colours_; ++c) {
-      std::vector<Word>& phi = sc.before_phi[static_cast<std::size_t>(c)];
-      phi.clear();
-      sc.base->AppendAbstract(c, phi);
-      AddField(e, c,
-               [&](std::vector<Word>& out) { out.insert(out.end(), phi.begin(), phi.end()); });
+      AddPhiField(e, *sc.work, c);
     }
 
     // (a) the operation NEXTOP(s).

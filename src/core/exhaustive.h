@@ -78,10 +78,11 @@ struct ExhaustiveReport {
   // also counts the successors it computed but did not admit. Table sizes
   // follow from the final contents, not from the order of appends.
   std::size_t peak_state_bytes = 0;
-  // RestoreFullState calls the run made: one per expanded or frontier state
-  // plus one per successor it applies. The class check restores nothing.
-  // Deterministic, like the store size: which states get expanded does not
-  // depend on the thread count.
+  // RestoreFullState calls the run made: one per successor it applies, for
+  // expanded and frontier states alike (a state's own COLOUR, NEXTOP and Φ
+  // are read from the restore that serves its first successor). The class
+  // check restores nothing. Deterministic, like the store size: which
+  // states get expanded does not depend on the thread count.
   std::uint64_t restore_count = 0;
   // Always 0: the checker no longer steals work. Kept for existing readers.
   std::uint64_t steal_count = 0;

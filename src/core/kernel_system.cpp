@@ -70,10 +70,10 @@ OperationId KernelizedSystem::NextOperation() const {
   }
   op.kind = OperationId::Kind::kInstruction;
   const Word pc = machine_->cpu().pc();
-  for (Word k = 0; k < 3; ++k) {
-    std::optional<Word> w = machine_->PeekVirt(static_cast<VirtAddr>(pc + k));
-    op.detail.push_back(w.value_or(0xFFFF));
-  }
+  const auto peek = [&](Word k) {
+    return machine_->PeekVirt(static_cast<VirtAddr>(pc + k)).value_or(0xFFFF);
+  };
+  op.detail = {peek(0), peek(1), peek(2)};
   return op;
 }
 
@@ -81,6 +81,10 @@ void KernelizedSystem::ExecuteOperation() { machine_->StepCpuPhase(); }
 
 AbstractState KernelizedSystem::Abstract(int colour) const {
   return AbstractState{kernel_->AbstractProjection(colour)};
+}
+
+void KernelizedSystem::AppendAbstract(int colour, std::vector<Word>& out) const {
+  kernel_->AppendAbstract(colour, out);
 }
 
 int KernelizedSystem::UnitCount() const { return machine_->device_count(); }

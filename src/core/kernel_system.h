@@ -47,6 +47,7 @@ class KernelizedSystem : public SharedSystem {
   std::optional<std::vector<Word>> FullState() const override;
   void AppendFullState(std::vector<Word>& out) const override;
   bool RestoreFullState(std::span<const Word> state) override;
+  void AppendAbstract(int colour, std::vector<Word>& out) const override;
 
   // --- direct access for tests, benches and examples ---
   Machine& machine() { return *machine_; }

@@ -979,13 +979,18 @@ void SeparationKernel::AppendRingLogical(int channel, int end, std::vector<Word>
 
 std::vector<Word> SeparationKernel::AbstractProjection(int colour) const {
   std::vector<Word> out;
+  out.reserve(config_.regimes[static_cast<std::size_t>(colour)].mem_words + 64);
+  AppendAbstract(colour, out);
+  return out;
+}
+
+void SeparationKernel::AppendAbstract(int colour, std::vector<Word>& out) const {
   const RegimeConfig& rc = config_.regimes[static_cast<std::size_t>(colour)];
-  out.reserve(rc.mem_words + 64);
+  const PhysicalMemory& memory = machine_.memory();
 
   // 1. The regime's private memory partition.
-  for (std::uint32_t i = 0; i < rc.mem_words; ++i) {
-    out.push_back(machine_.memory().Read(rc.mem_base + i));
-  }
+  const std::span<const Word> partition = memory.Words(rc.mem_base, rc.mem_words);
+  out.insert(out.end(), partition.begin(), partition.end());
 
   // 2. Register VALUES — live when active, from the save area otherwise.
   // The abstraction is location-independent: this is exactly why the SWAP
@@ -1033,7 +1038,8 @@ std::vector<Word> SeparationKernel::AbstractProjection(int colour) const {
   // read-only over every slot), as are the kernel-owned indices and the
   // watermark RINGSTAT surfaces. Like an uncut classic channel, a shared
   // ring is a deliberate shared object: the wire-cutting discipline, not the
-  // perturbation argument, is what discharges it.
+  // perturbation argument, is what discharges it. ValidateConfig places the
+  // window inside memory, below the I/O page.
   for (std::size_t i = 0; i < config_.shared_rings.size(); ++i) {
     const SharedRingConfig& ring = config_.shared_rings[i];
     if (ring.producer != colour && ring.consumer != colour) {
@@ -1043,11 +1049,9 @@ std::vector<Word> SeparationKernel::AbstractProjection(int colour) const {
     out.push_back(KRead(ctl + kSharedRingHead));
     out.push_back(KRead(ctl + kSharedRingTail));
     out.push_back(KRead(ctl + kSharedRingWatermark));
-    for (std::uint32_t k = 0; k < ring.capacity; ++k) {
-      out.push_back(machine_.PhysRead(ring.data_base + k));
-    }
+    const std::span<const Word> window = memory.Words(ring.data_base, ring.capacity);
+    out.insert(out.end(), window.begin(), window.end());
   }
-  return out;
 }
 
 void SeparationKernel::PerturbRing(int channel, int end, Rng& rng) {

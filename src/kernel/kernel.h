@@ -120,6 +120,11 @@ class SeparationKernel : public MachineClient {
   // normalized to one abstract "blocked in AWAIT" bit).
   std::vector<Word> AbstractProjection(int colour) const;
 
+  // AbstractProjection(colour) appended to `out` in place, the partition and
+  // ring windows as bulk copies: the exhaustive checker takes four or more
+  // projections per state, into buffers it reuses.
+  void AppendAbstract(int colour, std::vector<Word>& out) const;
+
   // Randomizes everything outside colour c's abstract view, within kernel
   // representation invariants and without changing COLOUR(s). See
   // SharedSystem::PerturbOthers.

@@ -149,6 +149,12 @@ class PhysicalMemory {
   // steps instead of re-walking the vector.
   const std::uint64_t* version_data() const { return versions_.data(); }
 
+  // The `count` words from `base`, in place.
+  std::span<const Word> Words(PhysAddr base, std::size_t count) const {
+    SEP_CHECK(base <= size() && count <= size() - base);
+    return {words_.data() + base, count};
+  }
+
   std::vector<Word> SnapshotRange(PhysAddr base, std::size_t count) const {
     SEP_CHECK(base <= size() && count <= size() - base);
     return std::vector<Word>(words_.begin() + base, words_.begin() + base + count);

@@ -360,6 +360,29 @@ TEST(StorageEquivalence, DeviceUnitMatchesGolden) {
   ExpectGolden(*BuildEcho(faults), kGoldenEchoBroadcast1024, options);
 }
 
+// An exact work count: the checker restores a stored state once per
+// successor it applies, the first successor reusing the restore that read
+// the state's COLOUR, NEXTOP and Φ. Unlike a rate, the count is the same on
+// every host and at every thread count, so a change that restores more
+// often per successor fails here. E16's states have one successor each, so
+// its count is one per expanded state; the echo's have four (the operation,
+// two inputs and the serial line's step), and a truncated run also applies
+// the successors of its frontier states to take their records.
+TEST(StorageEquivalence, RestoreCountIsExact) {
+  const auto cycle = BuildCycle();
+  const auto echo = BuildEcho();
+  for (int threads : {1, 2, 4, ThreadPool::HardwareThreads()}) {
+    ExhaustiveOptions options;
+    options.threads = threads;
+    options.max_states = 2048;
+    EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).restore_count, 2048u)
+        << "threads=" << threads;
+    options.max_states = 1024;
+    EXPECT_EQ(CheckSeparabilityExhaustive(*echo, options).restore_count, 4308u)
+        << "threads=" << threads;
+  }
+}
+
 TEST(StorageEquivalence, SchedulePerturbationKeepsReportsByteIdentical) {
   // Thread counts change which worker expands which state and in what
   // order; steal_seed has no effect but is still swept, so a dependence on
