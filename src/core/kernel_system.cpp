@@ -123,7 +123,8 @@ bool KernelizedSystem::RestoreFullState(std::span<const Word> state) {
   // The kernel keeps ALL of its dynamic state inside the machine's physical
   // memory (the invariant Machine documents for MachineClients), so
   // restoring the machine restores the kernel with it: the SeparationKernel
-  // object holds only immutable configuration.
+  // object holds only immutable configuration and its counters, which keep
+  // counting across the restore.
   return machine_->RestoreFull(state);
 }
 

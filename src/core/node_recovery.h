@@ -20,9 +20,10 @@
 //   * a crash discards staging along with the rolled-back state, so the
 //     re-execution's identical events are recorded exactly once.
 //
-// Machine ticks keep advancing across a restore (the step counter is
-// bookkeeping, not architectural state), so raw timestamps differ between a
-// crashed and an uninterrupted run; the canonical per-colour trace
+// Machine ticks and the kernel's counters keep advancing across a restore
+// (they are bookkeeping, not architectural state): raw timestamps differ
+// between a crashed and an uninterrupted run, and the counters include the
+// re-executed quantum. The canonical per-colour trace
 // (obs::CanonicalColourTrace) is deliberately timestamp-free, and over it
 // the committed log of a crashed run is byte-identical to run-alone.
 #ifndef SRC_CORE_NODE_RECOVERY_H_

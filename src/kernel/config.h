@@ -101,17 +101,7 @@ inline constexpr int kMaxDevicesPerRegime = 5;
 
 // Kernel partition layout (word offsets from kernel_base).
 inline constexpr std::uint32_t kOffCurrentRegime = 0;
-inline constexpr std::uint32_t kOffSwapCountLo = 1;
-inline constexpr std::uint32_t kOffSwapCountHi = 2;
-inline constexpr std::uint32_t kOffIrqForwardLo = 3;
-inline constexpr std::uint32_t kOffIrqForwardHi = 4;
-inline constexpr std::uint32_t kOffKernelCallLo = 5;
-inline constexpr std::uint32_t kOffKernelCallHi = 6;
-// Regimes halted by FaultRegime (malformed kernel-call arguments, corrupted
-// channel rings, anything the kernel's defensive checks reject).
-inline constexpr std::uint32_t kOffFaultCountLo = 7;
-inline constexpr std::uint32_t kOffFaultCountHi = 8;
-inline constexpr std::uint32_t kSaveAreaBase = 10;
+inline constexpr std::uint32_t kSaveAreaBase = 1;
 inline constexpr std::uint32_t kSaveAreaStride = 16;
 // Save area layout: +0..7 R0-R7, +8 PSW, +9 flags, +10 pending-irq mask,
 // +11..15 interrupt handler vectors for local devices 0..4.

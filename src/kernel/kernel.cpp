@@ -298,7 +298,7 @@ void SeparationKernel::DispatchNext(int start_from) {
   for (int i = 0; i < n; ++i) {
     const int candidate = ((start_from + i) % n + n) % n;
     if (RegimeRunnable(candidate)) {
-      Bump64(kOffSwapCountLo);
+      ++swaps_;
       if (obs::Enabled()) {
         obs::Emit(obs::Category::kKernel, obs::Code::kDispatch, obs::kColourKernel,
                   machine_.tick(), static_cast<Word>(candidate));
@@ -384,7 +384,7 @@ void SeparationKernel::OnInterrupt(int device_index) {
   if (owner < 0) {
     return;  // unowned device: interrupt dropped (config forbids this)
   }
-  Bump64(kOffIrqForwardLo);
+  ++irq_forwards_;
 
   const int local = LocalDeviceIndex(owner, device_index);
   // Colour-tagged with the owner for profiling, but NOT colour-observable:
@@ -431,7 +431,7 @@ void SeparationKernel::OnTrap(const TrapInfo& info) {
       break;
   }
 
-  Bump64(kOffKernelCallLo);
+  ++kernel_calls_;
   // One event per kernel call, tagged with the calling regime: the paper's
   // COLOUR(s) for a TRAP operation. a1 is R0 at entry (channel id for
   // SEND/RECV/STAT, local device for SETVEC) — entry arguments only, so the
@@ -493,7 +493,7 @@ void SeparationKernel::FaultRegime(const std::string& reason) {
   const int cur = CurrentRegime();
   SEP_LOG(kInfo) << "regime " << config_.regimes[static_cast<std::size_t>(cur)].name
                  << " faulted: " << reason;
-  Bump64(kOffFaultCountLo);
+  ++faults_;
   if (obs::Enabled()) {
     obs::Emit(obs::Category::kKernel, obs::Code::kRegimeFault, cur, machine_.tick());
   }
@@ -1130,16 +1130,6 @@ void SeparationKernel::PerturbNonColour(int colour, Rng& rng) {
       machine_.PhysWrite(ring.data_base + k, static_cast<Word>(rng.Next() & 0xFFFF));
     }
   }
-
-  // Kernel-internal counters are in nobody's abstract view.
-  KWrite(kOffSwapCountLo, static_cast<Word>(rng.Next() & 0xFFFF));
-  KWrite(kOffSwapCountHi, static_cast<Word>(rng.Next() & 0xFFFF));
-  KWrite(kOffIrqForwardLo, static_cast<Word>(rng.Next() & 0xFFFF));
-  KWrite(kOffIrqForwardHi, static_cast<Word>(rng.Next() & 0xFFFF));
-  KWrite(kOffKernelCallLo, static_cast<Word>(rng.Next() & 0xFFFF));
-  KWrite(kOffKernelCallHi, static_cast<Word>(rng.Next() & 0xFFFF));
-  KWrite(kOffFaultCountLo, static_cast<Word>(rng.Next() & 0xFFFF));
-  KWrite(kOffFaultCountHi, static_cast<Word>(rng.Next() & 0xFFFF));
 
   // Live CPU registers belong to the current regime (or to nobody, when
   // idle). Keep the PSW priority/mode so interrupt deliverability — and

@@ -26,11 +26,12 @@
 // Like SUE's PDP-11 core image, ALL dynamic kernel state (current regime,
 // register save areas, pending-interrupt masks, channel rings) lives inside
 // the machine's physical memory, in the kernel's own partition. The C++
-// object holds only immutable configuration, plus three diagnostic counters
-// that nothing the kernel does ever reads back. Cloning the machine and
+// object holds only immutable configuration, plus diagnostic counters that
+// nothing the kernel does ever reads back. Cloning the machine and
 // attaching an identically-configured kernel therefore reproduces behaviour
 // exactly — which is what lets the Proof-of-Separability checker treat
-// "machine state" as the complete concrete state.
+// "machine state" as the complete concrete state, and lets that state be
+// finite for a looping configuration.
 #ifndef SRC_KERNEL_KERNEL_H_
 #define SRC_KERNEL_KERNEL_H_
 
@@ -79,17 +80,15 @@ class SeparationKernel : public MachineClient {
   }
   Word RegimePendingMask(int regime) const { return SaveRead(regime, kSavePending); }
 
-  // Kernel-partition counter words: machine state, so they roll back with
-  // RestoreFull.
-  std::uint64_t SwapCount() const { return Count64(kOffSwapCountLo); }
-  std::uint64_t IrqForwardCount() const { return Count64(kOffIrqForwardLo); }
-  std::uint64_t KernelCallCount() const { return Count64(kOffKernelCallLo); }
+  // Counters: the work this kernel object did since construction. Not
+  // machine state — never cloned, hashed, snapshotted or restored, so like
+  // Machine::tick() they keep advancing across a RestoreFull.
+  std::uint64_t SwapCount() const { return swaps_; }
+  std::uint64_t IrqForwardCount() const { return irq_forwards_; }
+  std::uint64_t KernelCallCount() const { return kernel_calls_; }
   // Regimes halted by the kernel's defensive checks (malformed call
   // arguments, corrupted channel rings, MMU/illegal-instruction faults).
-  std::uint64_t FaultCount() const { return Count64(kOffFaultCountLo); }
-
-  // Member counters: the work this kernel object did since construction.
-  // Not machine state — never cloned, hashed, snapshotted or restored.
+  std::uint64_t FaultCount() const { return faults_; }
   std::uint64_t IrqDeliverCount() const { return irq_delivers_; }
   std::uint64_t MmuRemapCount() const { return mmu_remaps_; }
   // Send-side calls rejected for want of room (see NoteChannelStall).
@@ -153,17 +152,6 @@ class SeparationKernel : public MachineClient {
   Word SaveRead(int regime, std::uint32_t field) const { return KRead(SaveOffset(regime, field)); }
   void SaveWrite(int regime, std::uint32_t field, Word value) {
     KWrite(SaveOffset(regime, field), value);
-  }
-  std::uint64_t Count64(std::uint32_t lo_offset) const {
-    return static_cast<std::uint64_t>(KRead(lo_offset)) |
-           (static_cast<std::uint64_t>(KRead(lo_offset + 1)) << 16);
-  }
-  void Bump64(std::uint32_t lo_offset) {
-    Word lo = KRead(lo_offset);
-    KWrite(lo_offset, static_cast<Word>(lo + 1));
-    if (lo == 0xFFFF) {
-      KWrite(lo_offset + 1, static_cast<Word>(KRead(lo_offset + 1) + 1));
-    }
   }
 
   // Translation of a regime virtual address to physical, page-0 only (used
@@ -250,6 +238,10 @@ class SeparationKernel : public MachineClient {
   Machine& machine_;
   KernelConfig config_;
   bool booted_ = false;
+  std::uint64_t swaps_ = 0;
+  std::uint64_t irq_forwards_ = 0;
+  std::uint64_t kernel_calls_ = 0;
+  std::uint64_t faults_ = 0;
   std::uint64_t irq_delivers_ = 0;
   std::uint64_t mmu_remaps_ = 0;
   std::uint64_t channel_stalls_ = 0;

@@ -9,15 +9,17 @@
 // Machine::Step() loop and through KernelizedSystem::Run in chunks of 1, 2,
 // 3, 7, 64 and 4096 steps, against a Machine::Step() loop with the
 // predecode cache off (the generic interpreter). All must agree on
-// StateHash(), tick(), halted(), the drained device output, the E17
-// canonical per-colour traces and the tick of every kernel, trap and
-// interrupt event.
+// StateHash(), tick(), halted(), the kernel's counters (which are not
+// machine state, so StateHash() does not cover them), the drained device
+// output, the E17 canonical per-colour traces and the tick of every kernel,
+// trap and interrupt event.
 #ifndef TESTS_KERNELIZED_LOCKSTEP_H_
 #define TESTS_KERNELIZED_LOCKSTEP_H_
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -440,6 +442,8 @@ struct Observed {
   Tick tick = 0;
   bool halted = false;
   std::uint64_t hash = 0;
+  // SwapCount, KernelCallCount, IrqForwardCount and FaultCount.
+  std::array<std::uint64_t, 4> kernel_counts{};
   std::vector<std::vector<Word>> outputs;  // per device, drained at the end
   std::vector<std::string> canonical;      // E17 trace per colour
   // Every event except the derived-cache ones (predecode fills and
@@ -478,6 +482,9 @@ inline Observed Observe(KernelizedSystem& system, std::size_t budget, std::size_
   o.tick = system.machine().tick();
   o.halted = system.machine().halted();
   o.hash = system.machine().StateHash();
+  const SeparationKernel& kernel = system.kernel();
+  o.kernel_counts = {kernel.SwapCount(), kernel.KernelCallCount(), kernel.IrqForwardCount(),
+                     kernel.FaultCount()};
   for (int slot = 0; slot < system.machine().device_count(); ++slot) {
     o.outputs.push_back(system.machine().device(slot).DrainOutput());
   }
@@ -542,6 +549,7 @@ inline void ExpectKernelizedLockstep(const Deployment& d, Engine engine) {
     EXPECT_EQ(run.tick, ref.tick);
     EXPECT_EQ(run.halted, ref.halted);
     EXPECT_EQ(run.hash, ref.hash);
+    EXPECT_EQ(run.kernel_counts, ref.kernel_counts);
     EXPECT_EQ(run.outputs, ref.outputs);
     ASSERT_EQ(run.canonical.size(), ref.canonical.size());
     for (std::size_t colour = 0; colour < ref.canonical.size(); ++colour) {

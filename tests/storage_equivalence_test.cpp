@@ -251,6 +251,13 @@ constexpr char kGoldenCycle2048[] =
     "C1 0/3584 C2 0/2048 C3 0/0 C4 0/0 C5 0/0 C6 0/3584 => SEPARABLE\n"
     "transitions=2048 pairs=30166\n";
 
+// E16 decided: its whole reachable space is 2054 states, since the kernel
+// partition holds no word that only counts.
+constexpr char kGoldenCycle4096[] =
+    "2054 states, 2054 transitions, 30355 pairs, COMPLETE: "
+    "C1 0/3602 C2 0/2054 C3 0/0 C4 0/0 C5 0/0 C6 0/3602 => SEPARABLE\n"
+    "transitions=2054 pairs=30355\n";
+
 // A kernelized machine that owns a device: an interrupt-driven serial echo
 // (the lockstep gate's kSerialEcho) beside a regime that only counts and
 // swaps. The serial line is the one unit, so conditions (3), (4) and (5)
@@ -349,6 +356,8 @@ TEST(StorageEquivalence, CycleConfigMatchesGolden) {
   ExhaustiveOptions options;
   options.max_states = 2048;
   ExpectGolden(*BuildCycle(), kGoldenCycle2048, options);
+  options.max_states = 4096;
+  ExpectGolden(*BuildCycle(), kGoldenCycle4096, options);
 }
 
 TEST(StorageEquivalence, DeviceUnitMatchesGolden) {
@@ -365,9 +374,10 @@ TEST(StorageEquivalence, DeviceUnitMatchesGolden) {
 // the state's COLOUR, NEXTOP and Φ. Unlike a rate, the count is the same on
 // every host and at every thread count, so a change that restores more
 // often per successor fails here. E16's states have one successor each, so
-// its count is one per expanded state; the echo's have four (the operation,
-// two inputs and the serial line's step), and a truncated run also applies
-// the successors of its frontier states to take their records.
+// its count is one per expanded state, truncated or complete; the echo's
+// have four (the operation, two inputs and the serial line's step), and a
+// truncated run also applies the successors of its frontier states to take
+// their records.
 TEST(StorageEquivalence, RestoreCountIsExact) {
   const auto cycle = BuildCycle();
   const auto echo = BuildEcho();
@@ -376,6 +386,9 @@ TEST(StorageEquivalence, RestoreCountIsExact) {
     options.threads = threads;
     options.max_states = 2048;
     EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).restore_count, 2048u)
+        << "threads=" << threads;
+    options.max_states = 4096;
+    EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).restore_count, 2054u)
         << "threads=" << threads;
     options.max_states = 1024;
     EXPECT_EQ(CheckSeparabilityExhaustive(*echo, options).restore_count, 4308u)
