@@ -453,8 +453,9 @@ inline bool MayWriteMemory(const DecodedInsn& insn) {
     case Opcode::kAsl:
       return insn.dst.mode != AddrMode::kReg;
     default:
-      // CMP/BIT/TST only read; branches, NOP and every generic-form opcode
-      // are never stitched into a superblock.
+      // CMP/BIT/TST only read; branches and NOP store nothing, and every
+      // other opcode (generic form, or JSR/RTS/TRAP) is never stitched
+      // into a superblock.
       return false;
   }
 }
@@ -490,8 +491,8 @@ inline bool MayTouchMemory(const DecodedInsn& insn) {
     case Opcode::kAsl:
       return insn.dst.mode != AddrMode::kReg;
     default:
-      // Branches and NOP have no operands; every other opcode is generic
-      // form and never stitched.
+      // Branches and NOP have no operands; every other opcode (generic
+      // form, or JSR/RTS/TRAP) is never stitched.
       return false;
   }
 }
@@ -629,7 +630,9 @@ CpuEvent ExecutePredecodedT(CpuState& state, BusT& bus, const DecodedInsn& insn,
 // keeps in registers; `regs` points at the architectural register file.
 // regs[kPc] is never read or written here: any operand addressed through
 // the PC register bails out (return false) before any bus access, because
-// its mid-instruction PC value is what the scratch path models.
+// its mid-instruction PC value is what the scratch path models. JSR, RTS
+// and TRAP are not here: the engine runs them by the same commit-ordering
+// rule in Machine::ExecuteCallForm, out of line (machine.cpp says why).
 //
 // Returns true when the instruction was executed; *event then holds kOk or
 // the fault — exactly as ExecutePredecodedT would report it — and on a

@@ -11,9 +11,10 @@ namespace sep {
 
 // The bus the CPU sees: MMU translation, then RAM or I/O-page routing.
 // `final` so the templated interpreter instantiation below calls Read and
-// Write directly instead of through the vtable. The compiler still keeps
-// them out of line: a Release build's RunThreaded makes 87 direct calls to
-// Read and 39 to Write (docs/PERFORMANCE.md §11).
+// Write directly instead of through the vtable. The compiler keeps them out
+// of line: a Release build's RunThreaded makes 87 direct calls to Read and
+// 39 to Write. Forcing them inline slowed guard_ring and snfe_kernelized
+// (docs/PERFORMANCE.md §13), so they stay calls.
 class MachineBus final : public Bus {
  public:
   // `refuse_io` is for Run's batches, where the devices lag behind the CPU:
@@ -82,9 +83,10 @@ class MachineBus final : public Bus {
 namespace {
 
 // Handler indices for RunThreaded's dispatch table. kFormGeneric covers
-// every opcode without a direct handler (HALT/WAIT/RTI/RTS/TRAP/JMP/JSR)
-// and every instruction with an operand addressed through the PC register,
-// whose mid-instruction PC value only the generic scratch path models.
+// every opcode without a direct handler (HALT/WAIT/RTI/JMP), JSR in
+// register mode (an illegal instruction) and every ALU instruction with an
+// operand addressed through the PC register, whose mid-instruction PC value
+// only the generic scratch path models.
 enum DirectForm : std::uint8_t {
   kFormGeneric = 0,
   kFormNop,
@@ -117,6 +119,10 @@ enum DirectForm : std::uint8_t {
   kFormTst,
   kFormAsr,
   kFormAsl,
+  // JSR (not in register mode), RTS and TRAP: calls, returns and kernel
+  // entries, run directly by ExecuteCallForm. Never stitched into a
+  // superblock: a trace ends before them.
+  kFormCall,
   // Not produced by ClassifyForm: installed on a predecoded entry that
   // anchors a superblock, so the ordinary dispatch jump lands in the
   // superblock entry sequence with zero extra cost on non-anchored entries.
@@ -219,6 +225,11 @@ std::uint8_t ClassifyForm(const DecodedInsn& insn) {
           return kFormAsl;
       }
     }
+    case Opcode::kJsr:
+      return insn.dst.mode == AddrMode::kReg ? kFormGeneric : kFormCall;
+    case Opcode::kRts:
+    case Opcode::kTrap:
+      return kFormCall;
     default:
       return kFormGeneric;
   }
@@ -516,8 +527,9 @@ void Machine::InvalidateAllSuperblocks() {
 // here would also pass the per-step fast path at build time. Prediction:
 // unconditional branches follow the branch, conditional branches follow the
 // taken edge when it points backward (loop-closing) and fall through
-// otherwise; the trace ends at the first generic-form instruction, unmapped
-// word, guard-budget overflow, or revisit of a stitched PC.
+// otherwise; the trace ends at the first generic-form, JSR, RTS or TRAP
+// instruction, unmapped word, guard-budget overflow, or revisit of a
+// stitched PC.
 __attribute__((noinline)) void Machine::BuildSuperblockAt(Word entry_pc, CpuMode mode,
                                                           PredecodedInsn& entry) {
   auto sb = std::make_unique<Superblock>();
@@ -569,7 +581,7 @@ __attribute__((noinline)) void Machine::BuildSuperblockAt(Word entry_pc, CpuMode
       break;
     }
     const std::uint8_t form = ClassifyForm(*decoded);
-    if (form == kFormGeneric) {
+    if (form == kFormGeneric || form == kFormCall) {
       break;
     }
 
@@ -732,6 +744,56 @@ __attribute__((noinline)) CpuEvent Machine::ExecuteCpuMiss(MachineBus& bus,
   return interp::ExecutePredecodedT<MachineBus>(cpu_, bus, entry.insn, entry.ext.data());
 }
 
+// RunThreaded's kFormCall entries, on the committed CPU state (PC synced
+// out before the call and read back after it). No scratch CpuState: each
+// form makes at most one bus access, its stack push or pop, and commits SP
+// and PC only after that access succeeds, so a faulting or refused one
+// leaves no trace and Run replays it exactly. Out of line on purpose: the
+// same code inlined into RunThreaded moved the register allocation of its
+// superblock handlers, cost guard_ring 5-8% and cut snfe_kernelized's gain
+// from about 1.35x to 1.2x (docs/PERFORMANCE.md §13).
+__attribute__((noinline)) CpuEvent Machine::ExecuteCallForm(MachineBus& bus,
+                                                            const PredecodedInsn& entry) {
+  Word* const regs = cpu_.regs.data();
+  const DecodedInsn& insn = entry.insn;
+  const Word next = static_cast<Word>(regs[kPc] + insn.length);
+  switch (insn.opcode) {
+    case Opcode::kTrap:
+      regs[kPc] = next;
+      return {CpuEventKind::kTrap, insn.trap_code, 0};
+    case Opcode::kRts: {
+      const Word sp = regs[kSp];
+      Word target = 0;
+      if (!bus.Read(sp, AccessKind::kReadData, &target)) {
+        return {CpuEventKind::kBusFault, 0, sp};
+      }
+      regs[kSp] = static_cast<Word>(sp + 1);
+      regs[kPc] = target;
+      return {};
+    }
+    default: {
+      // JSR, never in register mode (ClassifyForm). The target comes from
+      // the predecoded extension word; a PC base reads the PC past the
+      // whole instruction (pc+1 deferred, pc+2 indexed), the value
+      // Ctx::JumpTarget sees.
+      const Word base = insn.dst.reg == kPc ? next : regs[insn.dst.reg];
+      Word target = base;
+      if (insn.dst.mode == AddrMode::kImmediate) {
+        target = entry.ext[0];  // absolute
+      } else if (insn.dst.mode == AddrMode::kIndexed) {
+        target = static_cast<Word>(entry.ext[0] + base);
+      }
+      const Word sp = static_cast<Word>(regs[kSp] - 1);
+      if (!bus.Write(sp, next)) {
+        return {CpuEventKind::kBusFault, 0, sp};
+      }
+      regs[kSp] = sp;
+      regs[kPc] = target;
+      return {};
+    }
+  }
+}
+
 void Machine::StepDevicePhase(int slot) { devices_[slot]->Step(); }
 
 std::optional<Word> Machine::PeekVirt(VirtAddr addr) const {
@@ -817,7 +879,7 @@ Machine::BatchEnd Machine::RunThreaded(std::size_t max_steps, bool refuse_io) {
       &&form_bge,     &&form_bgt, &&form_ble, &&form_mov, &&form_add, &&form_sub,
       &&form_cmp,     &&form_bit, &&form_bic, &&form_bis, &&form_xor, &&form_clr,
       &&form_inc,     &&form_dec, &&form_neg, &&form_com, &&form_tst, &&form_asr,
-      &&form_asl,     &&run_sb_enter,
+      &&form_asl,     &&form_call, &&run_sb_enter,
   };
 
   // Superblock in-trace handlers, same DirectForm order, two tables: the
@@ -825,8 +887,8 @@ Machine::BatchEnd Machine::RunThreaded(std::size_t max_steps, bool refuse_io) {
   // and/or store), and a lean one — no event reset, no event check, no
   // post-store recheck — for instructions that provably cannot
   // (interp::MayTouchMemory, chosen per instruction at build time).
-  // kFormGeneric and kFormSbEnter are never stitched; their slots
-  // re-dispatch defensively (the generic slot is also the sentinel
+  // kFormGeneric, kFormCall and kFormSbEnter are never stitched; their
+  // slots re-dispatch defensively (the generic slot is also the sentinel
   // trailer's handler, i.e. the normal off-the-end exit).
   static const void* const kSbForms[] = {
       &&run_sb_off_end, &&sb_nop, &&sb_br,  &&sb_beq, &&sb_bne, &&sb_bmi,
@@ -834,7 +896,7 @@ Machine::BatchEnd Machine::RunThreaded(std::size_t max_steps, bool refuse_io) {
       &&sb_bge,         &&sb_bgt, &&sb_ble, &&sb_mov, &&sb_add, &&sb_sub,
       &&sb_cmp,         &&sb_bit, &&sb_bic, &&sb_bis, &&sb_xor, &&sb_clr,
       &&sb_inc,         &&sb_dec, &&sb_neg, &&sb_com, &&sb_tst, &&sb_asr,
-      &&sb_asl,         &&run_sb_off_end,
+      &&sb_asl,         &&run_sb_off_end,   &&run_sb_off_end,
   };
   static const void* const kSbFormsNf[] = {
       &&run_sb_off_end, &&sb_nop_nf, &&sb_br,     &&sb_beq,    &&sb_bne,    &&sb_bmi,
@@ -842,7 +904,7 @@ Machine::BatchEnd Machine::RunThreaded(std::size_t max_steps, bool refuse_io) {
       &&sb_bge,         &&sb_bgt,    &&sb_ble,    &&sb_mov_nf, &&sb_add_nf, &&sb_sub_nf,
       &&sb_cmp_nf,      &&sb_bit_nf, &&sb_bic_nf, &&sb_bis_nf, &&sb_xor_nf, &&sb_clr_nf,
       &&sb_inc_nf,      &&sb_dec_nf, &&sb_neg_nf, &&sb_com_nf, &&sb_tst_nf, &&sb_asr_nf,
-      &&sb_asl_nf,      &&run_sb_off_end,
+      &&sb_asl_nf,      &&run_sb_off_end, &&run_sb_off_end,
   };
 
 #define SEP_SYNC_OUT() (regs[kPc] = pc, cpu_.psw = psw)
@@ -993,8 +1055,8 @@ Machine::BatchEnd Machine::RunThreaded(std::size_t max_steps, bool refuse_io) {
   // straight-line pass fits (steps + sb_len <= max_steps, after the anchor
   // undo), and every in-trace control transfer re-proves the next pass fits
   // before taking it — so straight-line handlers run with no budget check.
-  // HALT, WAIT and TRAP are generic forms, never stitched, so only a
-  // faulting or refused data access leaves a trace early.
+  // HALT and WAIT are generic forms and a trace ends before JSR, RTS and
+  // TRAP, so only a faulting or refused data access leaves a trace early.
 
   // In-trace handler for non-branch direct forms that can touch data
   // memory: execute with event plumbing, recheck covered pages after a
@@ -1191,9 +1253,18 @@ run_sb_side_exit:
   SEP_SB_FLUSH();
   SEP_DISPATCH();
 
+form_call:
+  // JSR, RTS and TRAP: direct, but out of line (ExecuteCallForm).
+  SEP_SYNC_OUT();
+  event = ExecuteCallForm(bus, *entry);
+  pc = regs[kPc];
+  if (event.kind != CpuEventKind::kOk) [[unlikely]] goto run_event;
+  SEP_DISPATCH();
+
 form_generic:
   // Cached but with no direct handler: run it through the scratch path.
 run_predecoded_slow:
+  ++generic_steps_;
   SEP_SYNC_OUT();
   event = interp::ExecutePredecodedT<MachineBus>(cpu_, bus, entry->insn, entry->ext.data());
   SEP_SYNC_IN();

@@ -211,6 +211,11 @@ class Machine {
   // Fast-path statistics (tests assert on invalidation behaviour).
   std::uint64_t predecode_hits() const { return predecode_hits_; }
   std::uint64_t predecode_misses() const { return predecode_misses_; }
+  // Cache hits the threaded engine ran on the generic predecoded path (the
+  // scratch-CpuState interpreter) because their form has no direct handler.
+  // A device access refused inside a batch and replayed per tick is
+  // dispatched twice and counted twice, as in predecode_hits().
+  std::uint64_t generic_steps() const { return generic_steps_; }
 
   // --- superblock trace cache ---
   //
@@ -361,6 +366,8 @@ class Machine {
   // and renders it as a step event.
   StepEvent ApplyCpuEvent(const CpuEvent& cpu_event);
 
+  // A cached JSR, RTS or TRAP inside RunThreaded, run directly on cpu_.
+  CpuEvent ExecuteCallForm(MachineBus& bus, const PredecodedInsn& entry);
   // Predecode-cache miss (or stale entry) inside RunThreaded: decodes from
   // memory, refills `entry` and executes the instruction, or leaves it
   // uncached and runs the generic interpreter when it cannot be cached.
@@ -426,6 +433,7 @@ class Machine {
   bool predecode_enabled_ = true;
   std::uint64_t predecode_hits_ = 0;
   std::uint64_t predecode_misses_ = 0;
+  std::uint64_t generic_steps_ = 0;
 
   std::vector<std::unique_ptr<Superblock>> superblocks_;
   bool superblock_enabled_ = true;

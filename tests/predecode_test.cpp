@@ -4,9 +4,14 @@
 // lockstep and compare complete state hashes every step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "src/machine/devices.h"
 #include "src/machine/machine.h"
 #include "src/sm11asm/assembler.h"
 #include "tests/kernelized_lockstep.h"
@@ -100,6 +105,291 @@ TEST(PredecodeParity, MixedWorkloadLockstep) {
   EXPECT_EQ(cached->cpu().regs[5], 40);  // every iteration trapped and returned
   EXPECT_GT(cached->predecode_hits(), 0u);
   EXPECT_EQ(plain->predecode_hits(), 0u);
+}
+
+// JSR, RTS and TRAP run on their own direct form (Machine::ExecuteCallForm),
+// which commits SP and PC only after its one stack access succeeds. Each
+// case heats a loop of calls, returns and traps on a bare machine, then ends
+// in the situation it is named for, on an instruction the loop has already
+// run, so the cache serves it. A recording client stands in for the kernel:
+// it logs every trap with its tick, PC, SP and fault address, lets TRAP
+// return, and resumes a faulting program at RESUME without touching SP, so a
+// push or pop that commits early shows in the log and in StateHash().
+struct CallFormCase {
+  const char* name;
+  std::string source;
+  void (*setup)(Machine& m, const AssembledProgram& p);
+  std::uint64_t generic_steps = 0;  // cache hits on the generic path
+};
+
+// Calls SUB, which traps, 20 times. On the last pass SP becomes `bad_sp`
+// before the JSR (its push faults) or, when `pop`, before SUB's RTS (its pop
+// faults).
+std::string StackEdgeProgram(const char* bad_sp, bool pop) {
+  const std::string set_sp = std::string("MOV #") + bad_sp + ", SP";
+  return std::string(R"(
+        .ORG 0x100
+START:  MOV #20, R2
+LOOP:   INC R0
+        ADD R0, R1
+        CMP #1, R2
+        BNE CALL
+        )") + (pop ? "NOP" : set_sp) + R"(
+CALL:   JSR SUB
+        DEC R2
+        BNE LOOP
+        HALT
+RESUME: HALT
+SUB:    INC R3
+        TRAP 9
+        CMP #1, R2
+        BNE RET
+        )" + (pop ? set_sp : "NOP") + R"(
+RET:    RTS
+)";
+}
+
+void NoSetup(Machine&, const AssembledProgram&) {}
+
+const std::vector<CallFormCase>& CallFormCases() {
+  static const std::vector<CallFormCase> kCases = {
+      // Absolute, indexed, PC-relative, deferred via SP (the stack sits just
+      // under the callee) and deferred via PC (calls the next word, which
+      // returns to itself once).
+      {"JsrAddressingModes", R"(
+        .ORG 0x100
+START:  MOV #20, R2
+LOOP:   INC R0
+        ADD R0, R1
+        JSR SUB
+        MOV #SUB-4, R4
+        JSR 4(R4)
+        JSR SUB-PCREL(PC)
+PCREL:  MOV #SUBSP, SP
+        JSR (SP)
+        MOV #0x1000, SP
+        CLR R4
+        JSR (PC)
+COROUT: INC R4
+        CMP #1, R4
+        BNE ONCE
+        RTS
+ONCE:   DEC R2
+        BNE LOOP
+        HALT
+SUB:    ADD R2, R3
+        TRAP 9
+        RTS
+        .WORD 0
+SUBSP:  INC R5
+        RTS
+)",
+       &NoSetup},
+      // Every pass traps on JSR R3; the 19 after the first are cache hits.
+      {"JsrRegisterModeIsIllegal", R"(
+        .ORG 0x100
+START:  MOV #20, R2
+LOOP:   INC R0
+        JSR SUB
+        JSR R3
+RESUME: DEC R2
+        BNE LOOP
+        HALT
+SUB:    INC R1
+        RTS
+)",
+       &NoSetup, 19},
+      // Virtual page 4 is unmapped on the bare machine.
+      {"JsrPushUnmapped", StackEdgeProgram("0x8001", false), &NoSetup},
+      {"RtsPopUnmapped", StackEdgeProgram("0x8000", true), &NoSetup},
+      // Page 3 read-only: the push faults, the pop reads RESUME.
+      {"JsrPushReadOnly", StackEdgeProgram("0x6011", false),
+       [](Machine& m, const AssembledProgram&) {
+         m.mmu().SetPage(CpuMode::kKernel, 3, {0x6000, kPageWords, PageAccess::kReadOnly});
+       }},
+      {"RtsPopReadOnly", StackEdgeProgram("0x6010", true),
+       [](Machine& m, const AssembledProgram& p) {
+         m.memory().Write(0x6010, p.symbols.at("RESUME"));
+         m.mmu().SetPage(CpuMode::kKernel, 3, {0x6000, kPageWords, PageAccess::kReadOnly});
+       }},
+      // Page 2 is 16 words long.
+      {"JsrPushLengthViolation", StackEdgeProgram("0x4011", false),
+       [](Machine& m, const AssembledProgram&) {
+         m.mmu().SetPage(CpuMode::kKernel, 2, {0x4000, 16, PageAccess::kReadWrite});
+       }},
+      {"RtsPopLengthViolation", StackEdgeProgram("0x4010", true),
+       [](Machine& m, const AssembledProgram&) {
+         m.mmu().SetPage(CpuMode::kKernel, 2, {0x4000, 16, PageAccess::kReadWrite});
+       }},
+      // The I/O page: refused inside a batch, replayed per tick. The push
+      // lands on the serial line's XBUF (transmitted, then popped back by
+      // SUB's RTS); the pop reads RBUF, which holds RESUME.
+      {"JsrPushIoPage", StackEdgeProgram("0xE004", false), &NoSetup},
+      {"RtsPopIoPage", StackEdgeProgram("0xE001", true),
+       [](Machine& m, const AssembledProgram& p) {
+         m.device(0).InjectInput(p.symbols.at("RESUME"));
+       }},
+      // Slot 3 has no device: refused inside a batch, a bus timeout per tick.
+      {"JsrPushNoDevice", StackEdgeProgram("0xE019", false), &NoSetup},
+      {"RtsPopNoDevice", StackEdgeProgram("0xE018", true), &NoSetup},
+      // The last pass pushes its return address onto RET, a word decoded on
+      // every earlier pass: the value (RET itself) decodes as HALT.
+      {"ReturnAddressOverwritesOwnCode", R"(
+        .ORG 0x100
+START:  MOV #20, R2
+LOOP:   INC R0
+        CMP #1, R2
+        BNE CALL
+        MOV #RET+1, SP
+CALL:   JSR SUB
+RET:    DEC R2
+        BNE LOOP
+        HALT
+SUB:    INC R3
+        TRAP 9
+        RTS
+)",
+       &NoSetup},
+      // Page 1 is 32 words long and EDGE's TRAP is its last word: the fetch
+      // after the trap returns faults, and RESUME runs the next pass.
+      {"TrapOnLastMappedWord", R"(
+        .ORG 0x100
+START:  MOV #20, R2
+LOOP:   INC R0
+        JSR EDGE
+RESUME: DEC R2
+        BNE LOOP
+        HALT
+        .ORG 0x201E
+EDGE:   INC R3
+        TRAP 9
+)",
+       [](Machine& m, const AssembledProgram&) {
+         m.mmu().SetPage(CpuMode::kKernel, 1, {0x2000, 32, PageAccess::kReadWrite});
+       }},
+  };
+  return kCases;
+}
+
+class TrapLog final : public MachineClient {
+ public:
+  TrapLog(Machine& m, Word resume) : m_(m), resume_(resume) {}
+
+  void OnTrap(const TrapInfo& info) override {
+    log += std::to_string(m_.tick()) + " kind " + std::to_string(static_cast<int>(info.kind)) +
+           " code " + std::to_string(info.code) + " addr " + std::to_string(info.fault_addr) +
+           " pc " + std::to_string(m_.cpu().pc()) + " sp " + std::to_string(m_.cpu().sp()) +
+           "\n";
+    if (info.kind != TrapInfo::Kind::kTrapInstruction) {
+      m_.cpu().set_pc(resume_);
+    }
+  }
+  void OnInterrupt(int device_index) override {
+    log += std::to_string(m_.tick()) + " irq " + std::to_string(device_index) + "\n";
+  }
+
+  std::string log;
+
+ private:
+  Machine& m_;
+  const Word resume_;
+};
+
+struct CallFormRun {
+  std::unique_ptr<Machine> machine;
+  std::unique_ptr<TrapLog> client;
+};
+
+CallFormRun StartCallFormCase(const CallFormCase& c, bool predecode, bool superblock) {
+  CallFormRun run;
+  run.machine = MakeBareMachine();
+  Machine& m = *run.machine;
+  m.AddDevice(std::make_unique<SerialLine>("slu", 16, 4, 3));
+  m.set_predecode_enabled(predecode);
+  m.set_superblock_enabled(superblock);
+  Result<AssembledProgram> p = Assemble(c.source);
+  EXPECT_TRUE(p.ok()) << p.error();
+  if (!p.ok()) {
+    return run;
+  }
+  m.memory().LoadImage(p->base, p->words);
+  m.cpu().set_pc(p->symbols.at("START"));
+  m.cpu().set_sp(0x1000);
+  c.setup(m, *p);
+  run.client = std::make_unique<TrapLog>(m, p->SymbolOr("RESUME", 0));
+  m.set_client(run.client.get());
+  return run;
+}
+
+class CallFormLockstep : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(CallFormLockstep, StepAndRunChunksMatchGenericTier) {
+  const auto [index, superblock] = GetParam();
+  const CallFormCase& c = CallFormCases()[static_cast<std::size_t>(index)];
+  constexpr std::size_t kBudget = 5000;
+
+  CallFormRun ref = StartCallFormCase(c, /*predecode=*/false, /*superblock=*/false);
+  ASSERT_NE(ref.client, nullptr);
+  std::size_t ref_steps = 0;
+  for (; ref_steps < kBudget && !ref.machine->halted(); ++ref_steps) {
+    ref.machine->Step();
+  }
+  ASSERT_TRUE(ref.machine->halted()) << c.name;
+  ASSERT_NE(ref.client->log, "");
+  const std::uint64_t ref_hash = ref.machine->StateHash();
+  const std::vector<Word> ref_output = ref.machine->device(0).DrainOutput();
+
+  for (std::size_t chunk : {0, 1, 2, 3, 7, 64}) {
+    SCOPED_TRACE(::testing::Message() << c.name << ", chunk " << chunk);
+    CallFormRun run = StartCallFormCase(c, /*predecode=*/true, superblock);
+    ASSERT_NE(run.client, nullptr);
+    Machine& m = *run.machine;
+    std::size_t steps = 0;
+    while (steps < kBudget && !m.halted()) {
+      if (chunk == 0) {
+        m.Step();
+        ++steps;
+      } else {
+        steps += m.Run(std::min(chunk, kBudget - steps));
+      }
+    }
+    EXPECT_EQ(steps, ref_steps);
+    EXPECT_EQ(m.tick(), ref.machine->tick());
+    EXPECT_EQ(m.StateHash(), ref_hash);
+    EXPECT_EQ(run.client->log, ref.client->log);
+    EXPECT_EQ(m.device(0).DrainOutput(), ref_output);
+    EXPECT_GT(m.predecode_hits(), 0u);
+    EXPECT_EQ(m.generic_steps(), c.generic_steps)
+        << "a call, return or trap took the generic path";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, CallFormLockstep,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(CallFormCases().size())),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      const std::size_t index = static_cast<std::size_t>(std::get<0>(info.param));
+      return std::string(CallFormCases()[index].name) +
+             (std::get<1>(info.param) ? "_SuperblockOn" : "_SuperblockOff");
+    });
+
+// Exact work count: the SNFE corpus deployment (red, censor and black from
+// src/sepcheck/guest_corpus.cpp), run until black stores the last payload
+// word, takes 942 steps, and none of them goes down the generic predecoded
+// path: its calls, returns and kernel calls all have a direct form. Before
+// they had one, 278 did; a form that falls back to that path fails here.
+TEST(PredecodeWorkCount, SnfeCorpusTakesNoGenericStep) {
+  std::unique_ptr<KernelizedSystem> system = lockstep::BuildSnfe<1>();
+  ASSERT_NE(system, nullptr);
+  const PhysAddr last_payload = system->kernel().config().regimes[2].mem_base + 0x117;
+  std::size_t steps = 0;
+  while (steps < 100000 && system->machine().memory().Read(last_payload) == 0) {
+    steps += system->Run(1);
+  }
+  EXPECT_TRUE(system->kernel().RegimeHalted(0));
+  EXPECT_EQ(steps, 942u);
+  EXPECT_EQ(system->machine().generic_steps(), 0u);
 }
 
 TEST(PredecodeParity, RunMatchesRepeatedStep) {

@@ -15,6 +15,7 @@ inline obs::MetricLines RunMetrics(const Machine& machine, const SeparationKerne
       {"machine.traps", machine.traps()},
       {"machine.interrupts", machine.interrupts()},
       {"machine.predecode_refills", machine.predecode_misses()},
+      {"machine.generic_steps", machine.generic_steps()},
       {"machine.superblock_builds", machine.superblock_builds()},
       {"machine.superblock_side_exits", machine.superblock_side_exits()},
       {"machine.superblock_invalidations", machine.superblock_invalidations()},
