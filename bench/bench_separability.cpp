@@ -317,9 +317,11 @@ std::unique_ptr<KernelizedSystem> BuildCycleConfig() {
 }
 
 // The last check's wall time per checker phase, in milliseconds: E20's
-// split of the E16 check between exploration and the class check.
+// split of the E16 check between exploration (with the merge thread's share
+// of it) and the class check.
 void SetPhaseCounters(benchmark::State& state, const ExhaustiveReport& report) {
   state.counters["explore_ms"] = static_cast<double>(report.explore_ns) / 1e6;
+  state.counters["merge_ms"] = static_cast<double>(report.merge_ns) / 1e6;
   state.counters["frontier_ms"] = static_cast<double>(report.frontier_ns) / 1e6;
   state.counters["class_check_ms"] = static_cast<double>(report.class_check_ns) / 1e6;
 }

@@ -9,17 +9,13 @@
 // comparison/hash callbacks, so a probe is a cache line of ids plus however
 // many candidate comparisons the caller's `equals` needs.
 //
-// HashIndex itself is not thread-safe for writes (Find() is safe
-// concurrently with other Find()s). ShardedIndex below wraps a fixed set
-// of independently locked HashIndex shards routed by the top bits of the
-// content hash, which is what the exhaustive checker's workers intern
-// through: writers contend only when two records hash into the same shard.
+// HashIndex is not thread-safe for writes (Find() is safe concurrently with
+// other Find()s). The checker's state store has one writer, the merge
+// thread, which interns between the pool's slices.
 #ifndef SRC_BASE_ARENA_H_
 #define SRC_BASE_ARENA_H_
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -88,109 +84,6 @@ class HashIndex {
 
   std::vector<std::int32_t> slots_;
   std::size_t size_ = 0;
-};
-
-// Shard routing shared by every concurrently-growable intern structure.
-//
-// A record's shard is a pure function of its 64-bit content hash (the top
-// kShardBits bits), never of the interning thread — so the sharded layout
-// of a finished store is identical for every thread count, which the
-// exhaustive checker's deterministic report depends on. The shard count is
-// a fixed constant, NOT derived from the thread count, for the same reason.
-//
-// Packed ids carry the shard in the high bits and the shard-local ordinal
-// in the low bits, leaving the sign bit clear so -1 stays usable as the
-// universal "absent" sentinel alongside plain HashIndex ids.
-inline constexpr int kShardBits = 6;
-inline constexpr std::size_t kShardCount = std::size_t{1} << kShardBits;
-inline constexpr int kShardLocalBits = 31 - kShardBits;
-inline constexpr std::size_t kShardLocalMax = (std::size_t{1} << kShardLocalBits) - 1;
-
-inline constexpr std::size_t ShardForHash(std::uint64_t hash) { return hash >> (64 - kShardBits); }
-
-inline constexpr std::int32_t PackShardId(std::size_t shard, std::size_t local) {
-  return static_cast<std::int32_t>((shard << kShardLocalBits) | local);
-}
-
-inline constexpr std::size_t ShardOfId(std::int32_t packed) {
-  return static_cast<std::size_t>(packed) >> kShardLocalBits;
-}
-
-inline constexpr std::size_t LocalOfId(std::int32_t packed) {
-  return static_cast<std::size_t>(packed) & kShardLocalMax;
-}
-
-// kShardCount independently locked HashIndex shards. The caller keeps the
-// records in its own per-shard flat arrays (indexed by shard-local id) and
-// guards them with the same shard mutex via the FindOrInsert callbacks, so
-// a packed id returned from any thread always refers to a fully published
-// record.
-//
-// Concurrent growth of each shard's HashIndex happens inside that shard's
-// critical section; the tsan matrix job runs tests/sharded_index_test.cpp
-// to certify the whole arrangement under race detection.
-class ShardedIndex {
- public:
-  struct Shard {
-    mutable std::mutex mu;
-    HashIndex index;
-  };
-
-  Shard& shard(std::size_t s) { return shards_[s]; }
-  const Shard& shard(std::size_t s) const { return shards_[s]; }
-
-  // Looks up `hash` in its home shard; on a miss, appends a new record and
-  // publishes it. All three callbacks run under the shard lock and receive
-  // shard-local ids:
-  //   equals(local)  -> bool   deep-compare candidate `local` to the key
-  //   append()       -> local  append the record to the caller's shard
-  //                            arrays, return its shard-local id
-  //   hash_of(local) -> hash   existing record's hash (for index growth)
-  // Returns {packed id, inserted}.
-  template <typename Equals, typename Append, typename HashOf>
-  std::pair<std::int32_t, bool> FindOrInsert(std::uint64_t hash, Equals&& equals, Append&& append,
-                                             HashOf&& hash_of) {
-    const std::size_t s = ShardForHash(hash);
-    Shard& sh = shards_[s];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    const std::int32_t local = sh.index.Find(hash, equals);
-    if (local >= 0) {
-      return {PackShardId(s, static_cast<std::size_t>(local)), false};
-    }
-    const std::size_t fresh = append();
-    sh.index.Insert(hash, static_cast<std::int32_t>(fresh), hash_of);
-    return {PackShardId(s, fresh), true};
-  }
-
-  std::size_t size() const {
-    std::size_t total = 0;
-    for (const Shard& sh : shards_) {
-      std::lock_guard<std::mutex> lock(sh.mu);
-      total += sh.index.size();
-    }
-    return total;
-  }
-
-  std::size_t max_load() const {
-    std::size_t peak = 0;
-    for (const Shard& sh : shards_) {
-      std::lock_guard<std::mutex> lock(sh.mu);
-      peak = peak > sh.index.size() ? peak : sh.index.size();
-    }
-    return peak;
-  }
-
-  std::size_t bytes() const {
-    std::size_t total = 0;
-    for (const Shard& sh : shards_) {
-      std::lock_guard<std::mutex> lock(sh.mu);
-      total += sh.index.bytes();
-    }
-    return total;
-  }
-
- private:
-  std::array<Shard, kShardCount> shards_;
 };
 
 }  // namespace sep

@@ -1,11 +1,9 @@
 #include "src/core/exhaustive.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
@@ -26,12 +24,12 @@ namespace {
 // Exploration is a level-synchronous BFS. Each level is cut into slices of
 // kSliceStates states. The pool expands one slice at a time: a worker
 // restores the state, applies every successor, records the FAILED checks
-// and interns each successor into a sharded content-addressed store
-// (ShardedStateStore below). After the slice barrier one merge thread walks
-// the slice in canonical order. It numbers new states first-come, counts
-// transitions, checks and violations, and applies the two cut rules:
-// max_violations is tested between states, and the state budget is tested
-// before a state is admitted.
+// and diffs each successor against the state (Diff). After the slice
+// barrier one merge thread walks the slice in canonical order. It interns
+// each successor into the state store (StateStore below), which numbers
+// new states first-come, counts transitions, checks and violations, and
+// applies the two cut rules: max_violations is tested between states, and
+// the state budget is tested before a state is admitted.
 //
 // While it expands a state, the worker also takes the state's record:
 // everything of it that conditions (6), (1), (3) and (5) read. The merge
@@ -50,14 +48,15 @@ namespace {
 // on demand (RestoreFullState) into one scratch instance, once per
 // successor it applies: the state's own record fields are read from the
 // restore that serves its first successor. A successor differs from its
-// parent in a few chunks, so interning it hashes and looks up only those
-// (Intern), and materializing a state copies only the chunks that differ
-// from the worker's last one (MaterializeState). The state hash is a sum
-// of position-salted per-chunk terms (ChunkTerm), so a successor's hash is
-// its parent's with the differing chunks' terms swapped.
+// parent in a few chunks, so the worker hashes only those and hands them to
+// the merge thread with the successor's hash and length (Diff), and
+// materializing a state copies only the chunks that differ from the
+// worker's last one (MaterializeState). The state hash is a sum of
+// position-salted per-chunk terms (ChunkTerm), so a successor's hash is its
+// parent's with the differing chunks' terms swapped.
 
 constexpr std::size_t kChunkWords = 64;
-// Chunks compared at once when a successor is interned (Intern).
+// Chunks compared at once when a successor is diffed (Diff).
 constexpr std::size_t kScanChunks = 8;
 // States expanded per parallel slice. Exploration stops at a cut rule only
 // between slices, so this bounds the work done past the cut.
@@ -67,6 +66,16 @@ constexpr std::size_t kSliceStates = 64;
 // tell "at least 65535" from a small value.
 Word SaturateWord(std::size_t value) {
   return static_cast<Word>(std::min<std::size_t>(value, 0xFFFF));
+}
+
+std::int64_t NanosSince(std::chrono::steady_clock::time_point start) {
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
+}
+
+// Words in chunk `index` of a `len`-word state.
+std::size_t ChunkLength(std::size_t index, std::size_t len) {
+  return std::min(kChunkWords, len - index * kChunkWords);
 }
 
 // One stored state as a worker holds it: its words, its state hash and,
@@ -88,208 +97,26 @@ std::uint64_t ChunkTerm(std::size_t index, std::uint64_t chunk_hash) {
   return Mix64(chunk_hash + (index + 1) * 0x9E3779B97F4A7C15ULL);
 }
 
-// Compact interned storage for serialized states, sharded for concurrent
-// growth. Serializations are cut into kChunkWords-word chunks at fixed
-// offsets; each distinct chunk is stored once. Chunks and states live in
-// separate shard spaces, each routed by the top bits of the content hash
-// (ShardForHash), so the layout of a finished store is a pure function of
-// the state SET — identical for every thread count.
-//
-// A state record is its packed chunk-ref list plus exact word count. Because
-// chunk ids are content-addressed within a run, two equal serializations
-// always produce identical ref lists, so state equality is a cheap ref-list
-// memcmp that never touches the chunk shards (no nested locks).
-//
-// Capacity determinism: one-element appends grow a vector from its reserved
-// base by doubling, and the many-word appends (ref lists, chunks of any
-// length) to the smallest power-of-two multiple of their base that fits
-// (Grow). Each shard's capacity — and thus bytes() — is then a function of
-// its final contents, not of the order in which workers appended.
-class ShardedStateStore {
- public:
-  ShardedStateStore() {
-    for (std::size_t s = 0; s < kShardCount; ++s) {
-      state_data_[s].ref_offsets.reserve(256);
-      state_data_[s].lens.reserve(256);
-      state_data_[s].hashes.reserve(256);
-      chunk_data_[s].offsets.reserve(256);
-      chunk_data_[s].hashes.reserve(256);
-    }
-  }
-
-  // Any thread. Returns the packed id of the chunk with this content,
-  // interning it if new.
-  std::uint32_t InternChunk(std::uint64_t hash, const Word* words, std::size_t count) {
-    const std::size_t s = ShardForHash(hash);
-    ChunkShardData& d = chunk_data_[s];
-    const std::int32_t packed =
-        chunk_index_
-            .FindOrInsert(
-                hash,
-                [&](std::int32_t local) {
-                  const std::size_t i = static_cast<std::size_t>(local);
-                  return d.hashes[i] == hash && d.offsets[i + 1] - d.offsets[i] == count &&
-                         std::memcmp(d.words.data() + d.offsets[i], words,
-                                     count * sizeof(Word)) == 0;
-                },
-                [&]() {
-                  const std::size_t local = d.hashes.size();
-                  SEP_CHECK(local <= kShardLocalMax);
-                  Grow(d.words, 4096, count);
-                  d.words.insert(d.words.end(), words, words + count);
-                  d.offsets.push_back(static_cast<std::uint32_t>(d.words.size()));
-                  d.hashes.push_back(hash);
-                  return local;
-                },
-                [&](std::int32_t existing) { return d.hashes[static_cast<std::size_t>(existing)]; })
-            .first;
-    return static_cast<std::uint32_t>(packed);
-  }
-
-  // Any thread. `refs` is the state's packed chunk-ref list; `len` its exact
-  // word count; `hash` the state hash Intern computed. Returns the state's
-  // packed id, interning it if new.
-  std::int32_t InternState(std::uint64_t hash, std::span<const std::uint32_t> refs,
-                           std::size_t len) {
-    const std::size_t s = ShardForHash(hash);
-    StateShardData& d = state_data_[s];
-    return state_index_
-        .FindOrInsert(
-            hash,
-            [&](std::int32_t local) {
-              const std::size_t i = static_cast<std::size_t>(local);
-              return d.hashes[i] == hash && d.lens[i] == len &&
-                     d.ref_offsets[i + 1] - d.ref_offsets[i] == refs.size() &&
-                     std::memcmp(d.chunk_refs.data() + d.ref_offsets[i], refs.data(),
-                                 refs.size_bytes()) == 0;
-            },
-            [&]() {
-              const std::size_t local = d.hashes.size();
-              SEP_CHECK(local <= kShardLocalMax);
-              Grow(d.chunk_refs, 1024, refs.size());
-              d.chunk_refs.insert(d.chunk_refs.end(), refs.begin(), refs.end());
-              d.ref_offsets.push_back(static_cast<std::uint32_t>(d.chunk_refs.size()));
-              d.lens.push_back(static_cast<std::uint32_t>(len));
-              d.hashes.push_back(hash);
-              return local;
-            },
-            [&](std::int32_t existing) { return d.hashes[static_cast<std::size_t>(existing)]; })
-        .first;
-  }
-
-  // After the last intern, lock-free reads: the phase barrier between
-  // exploration and the frontier records provides the happens-before edge.
-  void Freeze() { frozen_ = true; }
-
-  // Reconstructs state `packed` into `m`, which holds the caller's previous
-  // materialization. Refs are content-addressed, so only the chunks whose
-  // ref differs are copied, each under its shard lock unless frozen. `next`
-  // is scratch for the new ref list.
-  void MaterializeState(std::int32_t packed, Materialized& m,
-                        std::vector<std::uint32_t>& next) const {
-    const std::size_t s = ShardOfId(packed);
-    const std::size_t local = LocalOfId(packed);
-    const StateShardData& d = state_data_[s];
-    std::size_t len = 0;
-    {
-      std::unique_lock<std::mutex> lock;
-      if (!frozen_) {
-        lock = std::unique_lock<std::mutex>(state_index_.shard(s).mu);
-      }
-      next.assign(d.chunk_refs.begin() + d.ref_offsets[local],
-                  d.chunk_refs.begin() + d.ref_offsets[local + 1]);
-      len = d.lens[local];
-      m.hash = d.hashes[local];
-    }
-    m.words.resize(len);
-    m.hashes.resize(next.size());
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      if (i < m.refs.size() && m.refs[i] == next[i]) {
-        continue;
-      }
-      const std::size_t cs = ShardOfId(static_cast<std::int32_t>(next[i]));
-      const std::size_t cl = LocalOfId(static_cast<std::int32_t>(next[i]));
-      const ChunkShardData& cd = chunk_data_[cs];
-      std::unique_lock<std::mutex> lock;
-      if (!frozen_) {
-        lock = std::unique_lock<std::mutex>(chunk_index_.shard(cs).mu);
-      }
-      const std::size_t count = cd.offsets[cl + 1] - cd.offsets[cl];
-      SEP_CHECK(count == std::min(kChunkWords, len - i * kChunkWords));
-      std::memcpy(m.words.data() + i * kChunkWords, cd.words.data() + cd.offsets[cl],
-                  count * sizeof(Word));
-      m.hashes[i] = cd.hashes[cl];
-    }
-    m.refs.swap(next);
-  }
-
-  std::size_t shard_max_load() const { return state_index_.max_load(); }
-
-  // Resident footprint: arenas, per-state tables and hash indexes.
-  std::size_t bytes() const {
-    std::size_t total = state_index_.bytes() + chunk_index_.bytes();
-    for (std::size_t s = 0; s < kShardCount; ++s) {
-      const StateShardData& sd = state_data_[s];
-      const ChunkShardData& cd = chunk_data_[s];
-      total += sd.chunk_refs.capacity() * sizeof(std::uint32_t) +
-               sd.ref_offsets.capacity() * sizeof(std::uint32_t) +
-               sd.lens.capacity() * sizeof(std::uint32_t) +
-               sd.hashes.capacity() * sizeof(std::uint64_t) +
-               cd.words.capacity() * sizeof(Word) +
-               cd.offsets.capacity() * sizeof(std::uint32_t) +
-               cd.hashes.capacity() * sizeof(std::uint64_t);
-    }
-    return total;
-  }
-
- private:
-  // Before appending `count` elements: grows `v` to the smallest
-  // power-of-two multiple of `base` that holds them.
-  template <typename T>
-  static void Grow(std::vector<T>& v, std::size_t base, std::size_t count) {
-    std::size_t capacity = base;
-    while (capacity < v.size() + count) {
-      capacity *= 2;
-    }
-    v.reserve(capacity);
-  }
-
-  struct StateShardData {
-    // State i's chunk refs occupy chunk_refs[ref_offsets[i] ..
-    // ref_offsets[i + 1]).
-    std::vector<std::uint32_t> chunk_refs;
-    std::vector<std::uint32_t> ref_offsets{0};
-    std::vector<std::uint32_t> lens;
-    std::vector<std::uint64_t> hashes;
-  };
-  struct ChunkShardData {
-    // Chunk i occupies words[offsets[i] .. offsets[i + 1]).
-    std::vector<Word> words;
-    std::vector<std::uint32_t> offsets{0};
-    std::vector<std::uint64_t> hashes;
-  };
-
-  ShardedIndex state_index_;
-  ShardedIndex chunk_index_;
-  std::array<StateShardData, kShardCount> state_data_;
-  std::array<ChunkShardData, kShardCount> chunk_data_;
-  bool frozen_ = false;
-};
-
 // Exact interning of word strings to dense ids, on one thread. A hit needs
 // equal content, never hash identity alone, so equal ids mean equal words.
 class WordInterner {
  public:
-  std::int32_t Intern(std::uint64_t hash, std::span<const Word> words) {
-    const std::int32_t found = index_.Find(hash, [&](std::int32_t id) {
+  // Returns the id of `words`, or -1.
+  std::int32_t Find(std::uint64_t hash, std::span<const Word> words) const {
+    return index_.Find(hash, [&](std::int32_t id) {
       return hashes_[static_cast<std::size_t>(id)] == hash && std::ranges::equal(Get(id), words);
     });
+  }
+
+  std::int32_t Intern(std::uint64_t hash, std::span<const Word> words) {
+    const std::int32_t found = Find(hash, words);
     if (found >= 0) {
       return found;
     }
     const auto id = static_cast<std::int32_t>(hashes_.size());
     words_.insert(words_.end(), words.begin(), words.end());
-    ends_.push_back(words_.size());
+    SEP_CHECK(words_.size() <= INT32_MAX);  // ends and ids fit
+    ends_.push_back(static_cast<std::uint32_t>(words_.size()));
     hashes_.push_back(hash);
     index_.Insert(hash, id, [&](std::int32_t i) { return hashes_[static_cast<std::size_t>(i)]; });
     return id;
@@ -300,20 +127,137 @@ class WordInterner {
     return {words_.data() + ends_[i], words_.data() + ends_[i + 1]};
   }
 
+  std::uint64_t Hash(std::int32_t id) const { return hashes_[static_cast<std::size_t>(id)]; }
+
   std::size_t size() const { return hashes_.size(); }
+
+  std::size_t bytes() const {
+    return index_.bytes() + words_.capacity() * sizeof(Word) +
+           ends_.capacity() * sizeof(std::uint32_t) + hashes_.capacity() * sizeof(std::uint64_t);
+  }
 
  private:
   HashIndex index_;
   std::vector<Word> words_;  // id i occupies words_[ends_[i] .. ends_[i + 1])
-  std::vector<std::size_t> ends_{0};
+  std::vector<std::uint32_t> ends_{0};
   std::vector<std::uint64_t> hashes_;
+};
+
+// Compact interned storage for serialized states, with one writer: the
+// merge thread, between slices. Workers only read it (MaterializeState),
+// inside a slice, so the pool's barrier orders every read against every
+// write and nothing is locked. Serializations are cut into kChunkWords-word
+// chunks at fixed offsets; each distinct chunk is stored once, in a
+// WordInterner.
+//
+// A state record is its chunk-ref list plus exact word count. Because chunk
+// ids are content-addressed within a run, two equal serializations always
+// produce identical ref lists, so state equality is a cheap ref-list
+// memcmp. State ids are handed out in admission order, which is canonical
+// order, so a state's id is its canonical id. Appends happen in that order
+// too, so every capacity, and thus bytes(), is the same at every thread
+// count.
+class StateStore {
+ public:
+  std::size_t size() const { return state_hashes_.size(); }
+
+  // Returns the id of the chunk with these words, or -1.
+  std::int32_t FindChunk(std::uint64_t hash, std::span<const Word> words) const {
+    return chunks_.Find(hash, words);
+  }
+
+  // Returns the id of the chunk with these words, interning it if new.
+  std::uint32_t InternChunk(std::uint64_t hash, std::span<const Word> words) {
+    return static_cast<std::uint32_t>(chunks_.Intern(hash, words));
+  }
+
+  // Returns the id of the state whose chunk-ref list is `refs` and length
+  // `len`, or -1. `hash` is the state hash Diff computed.
+  std::int32_t FindState(std::uint64_t hash, std::span<const std::uint32_t> refs,
+                         std::size_t len) const {
+    return state_index_.Find(hash, [&](std::int32_t id) {
+      const auto i = static_cast<std::size_t>(id);
+      return state_hashes_[i] == hash && lens_[i] == len && std::ranges::equal(Refs(id), refs);
+    });
+  }
+
+  // Appends a state FindState does not hold; returns its id.
+  std::int32_t AddState(std::uint64_t hash, std::span<const std::uint32_t> refs, std::size_t len) {
+    const auto id = static_cast<std::int32_t>(state_hashes_.size());
+    refs_.insert(refs_.end(), refs.begin(), refs.end());
+    SEP_CHECK(refs_.size() <= INT32_MAX);  // offsets and ids fit
+    ref_ends_.push_back(static_cast<std::uint32_t>(refs_.size()));
+    lens_.push_back(static_cast<std::uint32_t>(len));
+    state_hashes_.push_back(hash);
+    state_index_.Insert(hash, id,
+                        [&](std::int32_t i) { return state_hashes_[static_cast<std::size_t>(i)]; });
+    return id;
+  }
+
+  std::span<const std::uint32_t> Refs(std::int32_t id) const {
+    const auto i = static_cast<std::size_t>(id);
+    return {refs_.data() + ref_ends_[i], refs_.data() + ref_ends_[i + 1]};
+  }
+
+  // Reconstructs state `id` into `m`, which holds the caller's previous
+  // materialization. Refs are content-addressed, so only the chunks whose
+  // ref differs are copied.
+  void MaterializeState(std::int32_t id, Materialized& m) const {
+    const std::span<const std::uint32_t> refs = Refs(id);
+    const std::size_t len = lens_[static_cast<std::size_t>(id)];
+    m.hash = state_hashes_[static_cast<std::size_t>(id)];
+    m.words.resize(len);
+    m.hashes.resize(refs.size());
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      if (i < m.refs.size() && m.refs[i] == refs[i]) {
+        continue;
+      }
+      const auto chunk = static_cast<std::int32_t>(refs[i]);
+      const std::span<const Word> words = chunks_.Get(chunk);
+      SEP_CHECK(words.size() == ChunkLength(i, len));
+      std::ranges::copy(words, m.words.begin() + static_cast<std::ptrdiff_t>(i * kChunkWords));
+      m.hashes[i] = chunks_.Hash(chunk);
+    }
+    m.refs.assign(refs.begin(), refs.end());
+  }
+
+  // Resident footprint: arenas, per-state tables and hash indexes.
+  std::size_t bytes() const {
+    return chunks_.bytes() + state_index_.bytes() +
+           (refs_.capacity() + ref_ends_.capacity() + lens_.capacity()) * sizeof(std::uint32_t) +
+           state_hashes_.capacity() * sizeof(std::uint64_t);
+  }
+
+ private:
+  WordInterner chunks_;
+  HashIndex state_index_;
+  // State i's chunk refs occupy refs_[ref_ends_[i] .. ref_ends_[i + 1]).
+  std::vector<std::uint32_t> refs_;
+  std::vector<std::uint32_t> ref_ends_{0};
+  std::vector<std::uint32_t> lens_;
+  std::vector<std::uint64_t> state_hashes_;
 };
 
 // What a worker records for one expanded state, in canonical successor
 // order: the operation, then each input value into each unit, then each
-// unit's activity. Passing checks are only counted.
+// unit's activity. Passing checks are only counted. Each successor is a
+// diff against the expanded state (Diff), which the merge thread interns
+// (Admit).
 struct Expansion {
-  std::vector<std::int32_t> succs;   // packed successor ids
+  struct Succ {
+    std::uint64_t hash;           // state hash
+    std::uint32_t len;            // words
+    std::uint32_t changes_begin;  // its changed chunks are changes[changes_begin ..
+    std::uint32_t changes_end;    // changes_end)
+  };
+  struct Change {
+    std::uint32_t index;  // the chunk's index in the successor
+    std::uint32_t begin;  // its words start at change_words[begin]
+    std::uint64_t hash;   // of those words
+  };
+  std::vector<Succ> succs;
+  std::vector<Change> changes;
+  std::vector<Word> change_words;
   std::vector<std::uint8_t> checks;  // checks evaluated per successor
   struct Fail {
     std::uint32_t ordinal;  // index into succs
@@ -336,8 +280,8 @@ class ExhaustiveRun {
  public:
   ExhaustiveRun(const SharedSystem& initial, const ExhaustiveOptions& options)
       : options_(options),
+        budget_(std::max<std::size_t>(options.max_states, 1)),
         initial_(initial.Clone()),
-        store_(std::make_unique<ShardedStateStore>()),
         pool_(options.threads) {
     scratch_.resize(static_cast<std::size_t>(pool_.size()));
     colours_ = initial_->ColourCount();
@@ -371,20 +315,24 @@ class ExhaustiveRun {
     const auto timed = [](std::int64_t& ns, auto phase) {
       const auto start = std::chrono::steady_clock::now();
       phase();
-      ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - start)
-               .count();
+      ns = NanosSince(start);
     };
-    timed(report_.explore_ns, [&] { Explore(Intern(ScratchHere(), *init_key, Materialized{})); });
-    store_->Freeze();
+    timed(report_.explore_ns, [&] {
+      // The initial state is diffed against no parent, so every chunk is
+      // new; the budget is at least 1, so it is always admitted.
+      Expansion init;
+      Diff(*init_key, Materialized{}, init);
+      Admit(-1, init, init.succs[0]);
+      Explore();
+    });
     if (!Done()) {
       timed(report_.frontier_ns, [&] { RecordFrontier(); });
       timed(report_.class_check_ns, [&] { CheckClasses(); });
     }
 
-    report_.states_explored = canon_to_packed_.size();
-    report_.peak_state_bytes = store_->bytes();
-    report_.shard_max_load = store_->shard_max_load();
+    report_.states_explored = store_.size();
+    report_.peak_state_bytes = store_.bytes();
+    report_.shard_max_load = store_.size();
     report_.worker_expanded.resize(scratch_.size());
     report_.worker_restores.resize(scratch_.size());
     for (std::size_t w = 0; w < scratch_.size(); ++w) {
@@ -405,7 +353,6 @@ class ExhaustiveRun {
     Materialized key;                    // the state being expanded, as stored
     std::vector<Word> ser;               // successor serialization scratch
     std::vector<Word> phi;               // abstraction scratch
-    std::vector<std::uint32_t> refs;     // chunk-ref scratch
     std::uint64_t restores = 0;
     std::uint64_t expanded = 0;
   };
@@ -424,25 +371,26 @@ class ExhaustiveRun {
     ++sc.restores;
   }
 
-  // Chunks `words` and interns the state; any thread. A chunk whose words
-  // equal `parent`'s chunk at the same offset and length takes that chunk's
-  // ref; only the chunks that differ are hashed and interned. When the
-  // lengths agree, the state hash is the parent's with the differing
-  // chunks' terms swapped (ChunkTerm); otherwise it is summed afresh, from
-  // the parent's chunk hashes where the chunks match.
+  // Appends `words`, a successor of `parent`, to `e` as a diff: its hash,
+  // its length and each chunk that differs from `parent`'s chunk at the same
+  // offset and length, with that chunk's index, hash and words. Only the
+  // chunks that differ are hashed. When the lengths agree, the state hash is
+  // the parent's with the differing chunks' terms swapped (ChunkTerm);
+  // otherwise it is summed afresh, from the parent's chunk hashes where the
+  // chunks match.
   //
   // A successor matches its parent almost everywhere, so the words are
   // compared a block of kScanChunks chunks at a time, and chunk by chunk
   // only inside a block that differs: one compare call per chunk cost more
   // than the compare.
-  std::int32_t Intern(Scratch& sc, std::span<const Word> words, const Materialized& parent) {
+  static void Diff(std::span<const Word> words, const Materialized& parent, Expansion& e) {
     const bool incremental = !parent.words.empty() && words.size() == parent.words.size();
     std::uint64_t hash = incremental ? parent.hash : LengthTerm(words.size());
     const auto same = [&](std::size_t begin, std::size_t end) {
       return std::memcmp(words.data() + begin, parent.words.data() + begin,
                          (end - begin) * sizeof(Word)) == 0;
     };
-    sc.refs.clear();
+    const auto changes_begin = static_cast<std::uint32_t>(e.changes.size());
     for (std::size_t i = 0, block = 0; block < words.size(); block += kScanChunks * kChunkWords) {
       const std::size_t block_end = std::min(block + kScanChunks * kChunkWords, words.size());
       const bool block_same = block_end <= parent.words.size() && same(block, block_end);
@@ -451,21 +399,65 @@ class ExhaustiveRun {
         // The parent's chunk i must end where this one does: same offset and length.
         if (std::min(base + kChunkWords, parent.words.size()) == end &&
             (block_same || same(base, end))) {
-          sc.refs.push_back(parent.refs[i]);
           if (!incremental) {
             hash += ChunkTerm(i, parent.hashes[i]);
           }
           continue;
         }
         const std::uint64_t chunk_hash = HashWords(words.data() + base, end - base);
-        sc.refs.push_back(store_->InternChunk(chunk_hash, words.data() + base, end - base));
+        e.changes.push_back({static_cast<std::uint32_t>(i),
+                             static_cast<std::uint32_t>(e.change_words.size()), chunk_hash});
+        e.change_words.insert(e.change_words.end(), words.begin() + base, words.begin() + end);
         hash += ChunkTerm(i, chunk_hash);
         if (incremental) {
           hash -= ChunkTerm(i, parent.hashes[i]);
         }
       }
     }
-    return store_->InternState(hash, sc.refs, words.size());
+    e.succs.push_back({hash, static_cast<std::uint32_t>(words.size()), changes_begin,
+                       static_cast<std::uint32_t>(e.changes.size())});
+  }
+
+  // Merge thread: the id of successor `s` in `e` of state `from` (-1: no
+  // parent), admitting it if it is new and the budget has room; -1 if the
+  // budget refuses it. Its ref list is the parent's with the changed
+  // chunks' refs put in. A changed chunk the store lacks belongs to no
+  // stored state, so the successor is new, and neither it nor its chunks
+  // are stored unless it is admitted.
+  std::int32_t Admit(std::int32_t from, const Expansion& e, const Expansion::Succ& s) {
+    constexpr std::uint32_t kMissing = UINT32_MAX;
+    const std::span<const Expansion::Change> changes(e.changes.data() + s.changes_begin,
+                                                     e.changes.data() + s.changes_end);
+    const auto words_of = [&](const Expansion::Change& c) {
+      return std::span<const Word>(e.change_words.data() + c.begin, ChunkLength(c.index, s.len));
+    };
+    const std::size_t chunks = (s.len + kChunkWords - 1) / kChunkWords;
+    const std::span<const std::uint32_t> parent =
+        from < 0 ? std::span<const std::uint32_t>() : store_.Refs(from);
+    const std::span<const std::uint32_t> kept = parent.first(std::min(parent.size(), chunks));
+    refs_.assign(kept.begin(), kept.end());
+    refs_.resize(chunks, kMissing);
+    bool known = true;
+    for (const Expansion::Change& c : changes) {
+      const std::int32_t id = store_.FindChunk(c.hash, words_of(c));
+      refs_[c.index] = static_cast<std::uint32_t>(id);
+      known = known && id >= 0;
+    }
+    if (known) {
+      const std::int32_t id = store_.FindState(s.hash, refs_, s.len);
+      if (id >= 0) {
+        return id;
+      }
+    }
+    if (store_.size() >= budget_) {
+      return -1;
+    }
+    for (const Expansion::Change& c : changes) {
+      if (refs_[c.index] == kMissing) {
+        refs_[c.index] = store_.InternChunk(c.hash, words_of(c));
+      }
+    }
+    return store_.AddState(s.hash, refs_, s.len);
   }
 
   // Appends Φ^colour of `sys` into `buf` (cleared first) and compares it
@@ -556,7 +548,7 @@ class ExhaustiveRun {
   // unless sc.work still holds it unmutated, and applies `mutate`, which
   // also adds the successor's record fields. When `expand` is set it then
   // checks condition `cond` (Φ of every colour but `exempt` is unchanged)
-  // and interns the result.
+  // and diffs the result against the state.
   template <typename Mutate, typename Describe>
   void Successor(Scratch& sc, Expansion& e, bool expand, int cond, int exempt, Mutate mutate,
                  Describe describe) {
@@ -584,16 +576,18 @@ class ExhaustiveRun {
     e.checks.push_back(checks);
     sc.ser.clear();
     sc.work->AppendFullState(sc.ser);
-    e.succs.push_back(Intern(sc, sc.ser, sc.key));
+    Diff(sc.ser, sc.key, e);
   }
 
   // Every successor of one state, in canonical order, and the state's
   // record. When `expand` is set, conditions (2) and (4) are checked on each
-  // transition and the successors are interned; without it only the record
+  // transition and the successors are diffed; without it only the record
   // is taken (a frontier state of a truncated run).
   void ExpandOne(std::int32_t from, Expansion& e, bool expand) {
     Scratch& sc = ScratchHere();
     e.succs.clear();
+    e.changes.clear();
+    e.change_words.clear();
     e.checks.clear();
     e.fails.clear();
     e.words.clear();
@@ -605,7 +599,7 @@ class ExhaustiveRun {
     // One restore serves the state's own record fields and its first
     // successor: COLOUR, NEXTOP and every Φ^c are read before anything
     // mutates sc.work.
-    store_->MaterializeState(from, sc.key, sc.refs);
+    store_.MaterializeState(from, sc.key);
     Restore(*sc.work, sc.key.words, sc);
     sc.work_is_key = true;
     const int active = sc.work->Colour();
@@ -661,17 +655,6 @@ class ExhaustiveRun {
     }
   }
 
-  // Canonical id of packed state `packed`, or -1 while it is unnumbered.
-  // The per-shard tables grow with the store.
-  std::int32_t& CanonSlot(std::int32_t packed) {
-    std::vector<std::int32_t>& shard = canon_of_[ShardOfId(packed)];
-    const std::size_t local = LocalOfId(packed);
-    if (local >= shard.size()) {
-      shard.resize(local + 1, -1);
-    }
-    return shard[local];
-  }
-
   bool Done() const {
     return static_cast<int>(report_.violations.size()) >= options_.max_violations;
   }
@@ -683,10 +666,10 @@ class ExhaustiveRun {
     }
   }
 
-  // Consumes one expansion: the state's record, then its successors in
-  // order. Done() is not tested inside a state's successor list; the state
-  // budget is, before each admission.
-  void Merge(const Expansion& e) {
+  // Consumes the expansion of state `from`: its record, then its
+  // successors in order. Done() is not tested inside a state's successor
+  // list; the state budget is, before each admission.
+  void Merge(std::int32_t from, const Expansion& e) {
     InternRecord(e);
     std::size_t fi = 0;
     for (std::uint32_t ord = 0; ord < e.succs.size(); ++ord) {
@@ -697,27 +680,21 @@ class ExhaustiveRun {
       for (; fi < e.fails.size() && e.fails[fi].ordinal == ord; ++fi) {
         CountViolation(e.fails[fi].violation);
       }
-      std::int32_t& canon = CanonSlot(e.succs[ord]);
-      if (canon < 0) {
-        if (canon_to_packed_.size() >= options_.max_states) {
-          overflowed_ = true;
-          return;
-        }
-        canon = static_cast<std::int32_t>(canon_to_packed_.size());
-        canon_to_packed_.push_back(e.succs[ord]);
+      if (Admit(from, e, e.succs[ord]) < 0) {
+        overflowed_ = true;
+        return;
       }
     }
   }
 
-  // Level-synchronous BFS. Canonical ids are handed out in BFS order, so
-  // each level is the id range its predecessor level admitted.
-  void Explore(std::int32_t initial_id) {
-    CanonSlot(initial_id) = 0;
-    canon_to_packed_.push_back(initial_id);
+  // Level-synchronous BFS from the admitted initial state. Ids are handed
+  // out in BFS order, so each level is the id range its predecessor level
+  // admitted.
+  void Explore() {
     std::size_t level_begin = 0;
     std::size_t depth = 0;
-    while (level_begin < canon_to_packed_.size() && !Done() && !overflowed_) {
-      const std::size_t level_end = canon_to_packed_.size();
+    while (level_begin < store_.size() && !Done() && !overflowed_) {
+      const std::size_t level_end = store_.size();
       // One heartbeat per BFS level: tick carries the canonical store size
       // (states may exceed a Word), a0/a1 the saturated level width/depth.
       if (obs::Enabled()) {
@@ -729,26 +706,28 @@ class ExhaustiveRun {
            base += kSliceStates) {
         const std::size_t count = std::min(kSliceStates, level_end - base);
         pool_.ParallelFor(count, [&](std::size_t i) {
-          ExpandOne(canon_to_packed_[base + i], slice_[i], true);
+          ExpandOne(static_cast<std::int32_t>(base + i), slice_[i], true);
         });
+        const auto merge_start = std::chrono::steady_clock::now();
         for (std::size_t i = 0; i < count && !Done() && !overflowed_; ++i) {
-          Merge(slice_[i]);
+          Merge(static_cast<std::int32_t>(base + i), slice_[i]);
         }
+        report_.merge_ns += NanosSince(merge_start);
       }
       level_begin = level_end;
     }
-    report_.complete = level_begin == canon_to_packed_.size() && !overflowed_ && !Done();
+    report_.complete = level_begin == store_.size() && !overflowed_ && !Done();
   }
 
   // Records of the admitted states exploration never merged (the frontier
   // of a truncated run), taken by restore through ExpandOne and interned in
   // canonical order.
   void RecordFrontier() {
-    const std::size_t n = canon_to_packed_.size();
+    const std::size_t n = store_.size();
     for (std::size_t base = records_.size() / stride_; base < n; base += kSliceStates) {
       const std::size_t count = std::min(kSliceStates, n - base);
       pool_.ParallelFor(count, [&](std::size_t i) {
-        ExpandOne(canon_to_packed_[base + i], slice_[i], false);
+        ExpandOne(static_cast<std::int32_t>(base + i), slice_[i], false);
       });
       for (std::size_t i = 0; i < count; ++i) {
         InternRecord(slice_[i]);
@@ -860,8 +839,8 @@ class ExhaustiveRun {
   // Conditions with a two-state antecedent, over every Φ-equal pair: for
   // each colour, groups in ascending Φ-word order, members in ascending id.
   void CheckClasses() {
-    const auto n = static_cast<std::int32_t>(canon_to_packed_.size());
-    std::vector<std::int32_t> members(canon_to_packed_.size());
+    const auto n = static_cast<std::int32_t>(store_.size());
+    std::vector<std::int32_t> members(store_.size());
     std::vector<std::size_t> starts;
     std::vector<std::size_t> groups;
     for (int c = 0; c < colours_ && !Done(); ++c) {
@@ -901,17 +880,18 @@ class ExhaustiveRun {
   }
 
   const ExhaustiveOptions& options_;
+  const std::size_t budget_;  // states admitted at most
   std::unique_ptr<SharedSystem> initial_;
-  std::unique_ptr<ShardedStateStore> store_;
   int colours_ = 0;
   int units_ = 0;
   ThreadPool pool_;
   std::vector<Scratch> scratch_;
   std::vector<Expansion> slice_ = std::vector<Expansion>(kSliceStates);
 
-  // Merge-thread-only canonical state.
-  std::array<std::vector<std::int32_t>, kShardCount> canon_of_;  // packed -> canon id
-  std::vector<std::int32_t> canon_to_packed_;                    // canon id -> packed
+  // Written by the merge thread alone; workers read the store inside a
+  // slice.
+  StateStore store_;
+  std::vector<std::uint32_t> refs_;         // Admit's ref-list scratch
   std::size_t stride_ = 0;                  // record fields per state
   std::vector<std::int32_t> records_;       // canon id * stride_ -> record
   std::vector<WordInterner> tables_;        // class tables, see NextopTable()

@@ -26,17 +26,19 @@
 //
 // Exploration is a level-synchronous BFS: each level is expanded in
 // fixed-size slices on a thread pool and merged by one thread in canonical
-// order, and the merge thread numbers the record classes by exact content.
-// Because the slice size is a constant, the report is byte-identical at
-// every thread count by construction (docs/PERFORMANCE.md §6).
+// order. The merge thread is the state store's only writer: it interns the
+// successors and numbers the record classes by exact content. Because the
+// slice size is a constant, the report is byte-identical at every thread
+// count by construction (docs/PERFORMANCE.md §6).
 //
 // Requires SharedSystem::FullState() support (a canonical serialization of
 // the complete concrete state) and its inverse RestoreFullState(): the
 // checker stores only the serialized words — deduplicated 64-word chunks in
-// a flat arena — and reconstructs live systems on demand into thread-local
-// scratch instances, so peak memory is O(serialized words), not O(live
-// machines). A successor is stored by hashing only the chunks that differ
-// from its parent's; every equality test compares words (PERFORMANCE.md §4).
+// a flat arena — and reconstructs live systems on demand, one scratch
+// instance per pool worker, so peak memory is O(serialized words), not
+// O(live machines). A worker hands each successor to the merge thread as
+// the chunks that differ from its parent's, hashed; every equality test
+// compares words (PERFORMANCE.md §4).
 #ifndef SRC_CORE_EXHAUSTIVE_H_
 #define SRC_CORE_EXHAUSTIVE_H_
 
@@ -74,9 +76,9 @@ struct ExhaustiveReport {
   // Resident footprint of the compact state store (serialized words, chunk
   // tables and hash indexes) at the end of the run — the checker keeps no
   // live machine per state, so this is the scaling-relevant number. The
-  // store holds every successor of every expanded state, so a truncated run
-  // also counts the successors it computed but did not admit. Table sizes
-  // follow from the final contents, not from the order of appends.
+  // store holds the admitted states alone: a truncated run does not store
+  // the successors the budget refused. It is appended to in canonical
+  // order, so its size is the same at every thread count.
   std::size_t peak_state_bytes = 0;
   // RestoreFullState calls the run made: one per successor it applies, for
   // expanded and frontier states alike (a state's own COLOUR, NEXTOP and Φ
@@ -86,15 +88,20 @@ struct ExhaustiveReport {
   std::uint64_t restore_count = 0;
   // Always 0: the checker no longer steals work. Kept for existing readers.
   std::uint64_t steal_count = 0;
-  std::size_t shard_max_load = 0;  // most populated state shard
+  // The stored-state count, as states_explored: the store is not sharded.
+  // Kept for existing readers (perfbench's core.shard_max_load).
+  std::size_t shard_max_load = 0;
   // States expanded and restores made by each pool worker.
   // Schedule-dependent, like the phase times below.
   std::vector<std::uint64_t> worker_expanded;
   std::vector<std::uint64_t> worker_restores;
   // Wall-clock nanoseconds of each phase: exploration (with the records of
   // expanded states), the records of a truncated run's frontier, and the
-  // class checks. Diagnostics, not in Summary().
+  // class checks; and, within explore_ns, the merge thread's time in Merge
+  // (interning successors and records between slices). Diagnostics, not in
+  // Summary().
   std::int64_t explore_ns = 0;
+  std::int64_t merge_ns = 0;
   std::int64_t frontier_ns = 0;
   std::int64_t class_check_ns = 0;
 

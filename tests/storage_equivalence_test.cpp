@@ -425,7 +425,7 @@ TEST(StorageEquivalence, SchedulePerturbationKeepsReportsByteIdentical) {
 
 TEST(StorageEquivalence, SchedulePerturbationOnWiderStateSpace) {
   // Same sweep over the tiny system's 3528-state space: wide enough that
-  // parallel workers genuinely race on shard inserts within a slice, so a
+  // parallel workers genuinely expand one slice's states concurrently, so a
   // schedule-dependence bug cannot hide behind an 11-state chain whose
   // one-state slices run inline.
   for (std::uint64_t seed : {1ull, 0xC0FFEEull}) {
@@ -455,9 +455,9 @@ TEST(StorageEquivalence, StoreDiagnosticsAreDeterministic) {
 }
 
 TEST(StorageEquivalence, StoreSizeDoesNotDependOnTheSchedule) {
-  // Ref lists and tail chunks are appended many words at a time, in
-  // whatever order the workers reach their shard. Repeated runs at every
-  // thread count must still build a store of the same size.
+  // Ref lists and tail chunks are appended many words at a time, by the
+  // merge thread in canonical order. Repeated runs at every thread count
+  // must still build a store of the same size.
   auto system = BuildEcho();
   ExhaustiveOptions options;
   options.max_states = 16384;
@@ -469,6 +469,79 @@ TEST(StorageEquivalence, StoreSizeDoesNotDependOnTheSchedule) {
       EXPECT_EQ(r.peak_state_bytes, serial.peak_state_bytes) << "threads=" << threads;
       EXPECT_EQ(r.restore_count, serial.restore_count) << "threads=" << threads;
     }
+  }
+}
+
+// The state budget at its edges. The initial state is admitted whatever
+// the budget, so 0 reads like 1: one state, its one expanded transition,
+// and a partial run, never an empty proof. 64 and 65 straddle the 64-state
+// slice: at 65 the cut falls in the second slice. Captured from the checker
+// whose workers interned successors into a sharded store.
+constexpr const char* kBudgetOne =
+    "1 states, 1 transitions, 0 pairs, partial: "
+    "C1 0/0 C2 0/1 C3 0/0 C4 0/0 C5 0/0 C6 0/0 => SEPARABLE";
+
+TEST(StorageEquivalence, StateBudgetEdgesMatchGolden) {
+  struct Edge {
+    std::size_t max_states;
+    const char* cycle;
+    const char* tiny;
+  };
+  const Edge edges[] = {
+      {0, kBudgetOne, kBudgetOne},
+      {1, kBudgetOne, kBudgetOne},
+      {2,
+       "2 states, 2 transitions, 1 pairs, partial: "
+       "C1 0/0 C2 0/2 C3 0/0 C4 0/0 C5 0/0 C6 0/0 => SEPARABLE",
+       "2 states, 2 transitions, 1 pairs, partial: "
+       "C1 0/0 C2 0/1 C3 0/3 C4 0/1 C5 0/1 C6 0/0 => SEPARABLE"},
+      {64,
+       "64 states, 64 transitions, 153 pairs, partial: "
+       "C1 0/0 C2 0/64 C3 0/0 C4 0/0 C5 0/0 C6 0/0 => SEPARABLE",
+       "64 states, 182 transitions, 375 pairs, partial: "
+       "C1 0/104 C2 0/26 C3 0/1125 C4 0/156 C5 0/375 C6 0/104 => SEPARABLE"},
+      {65,
+       "65 states, 65 transitions, 155 pairs, partial: "
+       "C1 0/0 C2 0/65 C3 0/0 C4 0/0 C5 0/0 C6 0/0 => SEPARABLE",
+       "65 states, 184 transitions, 386 pairs, partial: "
+       "C1 0/105 C2 0/27 C3 0/1158 C4 0/157 C5 0/386 C6 0/105 => SEPARABLE"},
+  };
+  const auto cycle = BuildCycle();
+  const TinyTwoUserSystem tiny(false);
+  for (const Edge& edge : edges) {
+    for (int threads : {1, 4}) {
+      ExhaustiveOptions options;
+      options.max_states = edge.max_states;
+      options.threads = threads;
+      EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).Summary(), edge.cycle)
+          << "max_states=" << edge.max_states << " threads=" << threads;
+      EXPECT_EQ(CheckSeparabilityExhaustive(tiny, options).Summary(), edge.tiny)
+          << "max_states=" << edge.max_states << " threads=" << threads;
+    }
+  }
+}
+
+// An exact size: the store holds the admitted states alone, appended in
+// canonical order, so its footprint is the same on every run and at every
+// thread count (with libstdc++'s vector growth). A truncated run does not
+// store the successor its budget refused: E16 at 2,048 states would grow
+// its per-state tables to 4,096 entries to hold it. The checker whose
+// workers interned every successor into 64 locked shards read 1,826,816
+// bytes for both E16 runs and 1,308,928 for the tiny system.
+TEST(StorageEquivalence, StoreSizeIsExact) {
+  const auto cycle = BuildCycle();
+  const TinyTwoUserSystem tiny(false);
+  for (int threads : {1, 2, 4, ThreadPool::HardwareThreads()}) {
+    ExhaustiveOptions options;
+    options.threads = threads;
+    options.max_states = 2048;
+    EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).peak_state_bytes, 867032u)
+        << "threads=" << threads;
+    options.max_states = 4096;
+    EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).peak_state_bytes, 1432280u)
+        << "threads=" << threads;
+    EXPECT_EQ(CheckSeparabilityExhaustive(tiny, options).peak_state_bytes, 286720u)
+        << "threads=" << threads;
   }
 }
 

@@ -18,9 +18,9 @@
 // as flat "name value" lines. `--exhaustive N` runs the exhaustive
 // separability checker (state budget N, all hardware threads) on a fresh
 // build before exporting, so the dump also carries its report as
-// `exhaustive.*` lines — states, transitions, shard_max_load and the
-// per-worker expansion/restore counts that show how evenly the pool spread
-// the work (docs/PERFORMANCE.md §6).
+// `exhaustive.*` lines — states, transitions, the phase times with the merge
+// thread's share, and the per-worker expansion/restore counts that show how
+// evenly the pool spread the work (docs/PERFORMANCE.md §6).
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -175,8 +175,8 @@ int main(int argc, char** argv) {
         {"exhaustive.pairs_checked", report.pairs_checked},
         {"exhaustive.restore_count", report.restore_count},
         {"exhaustive.peak_state_bytes", report.peak_state_bytes},
-        {"exhaustive.shard_max_load", report.shard_max_load},
         {"exhaustive.explore_ns", report.explore_ns},
+        {"exhaustive.merge_ns", report.merge_ns},
         {"exhaustive.frontier_ns", report.frontier_ns},
         {"exhaustive.class_check_ns", report.class_check_ns},
     });
