@@ -263,25 +263,10 @@ void BM_ExhaustiveCheck(benchmark::State& state) {
     benchmark::DoNotOptimize(report.states_explored);
     states += report.states_explored;
   }
-  // items/sec == reachable states proven per wall-clock second (UseRealTime:
-  // the parallel variants run on pool threads the main thread's CPU time
-  // does not see).
+  // items/sec == reachable states proven per wall-clock second.
   state.SetItemsProcessed(static_cast<std::int64_t>(states));
 }
 BENCHMARK(BM_ExhaustiveCheck)->UseRealTime();
-
-void BM_ExhaustiveCheckParallel(benchmark::State& state) {
-  ExhaustiveOptions options;
-  options.threads = 0;  // all hardware threads
-  std::size_t states = 0;
-  for (auto _ : state) {
-    ExhaustiveReport report = CheckSeparabilityExhaustive(TinyTwoUserSystem(false), options);
-    benchmark::DoNotOptimize(report.states_explored);
-    states += report.states_explored;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(states));
-}
-BENCHMARK(BM_ExhaustiveCheckParallel)->UseRealTime();
 
 // E16: two tight SM-11 loops whose register masks give the product
 // automaton a reachable cycle of 2054 states: the standard stress
@@ -316,16 +301,6 @@ std::unique_ptr<KernelizedSystem> BuildCycleConfig() {
   return std::move(system.value());
 }
 
-// The last check's wall time per checker phase, in milliseconds: E20's
-// split of the E16 check between exploration (with the merge thread's share
-// of it) and the class check.
-void SetPhaseCounters(benchmark::State& state, const ExhaustiveReport& report) {
-  state.counters["explore_ms"] = static_cast<double>(report.explore_ns) / 1e6;
-  state.counters["merge_ms"] = static_cast<double>(report.merge_ns) / 1e6;
-  state.counters["frontier_ms"] = static_cast<double>(report.frontier_ns) / 1e6;
-  state.counters["class_check_ms"] = static_cast<double>(report.class_check_ns) / 1e6;
-}
-
 // Exhaustive checking of the full kernelized machine (not the toy system):
 // every explored state is a complete SM-11 snapshot — all of physical
 // memory, MMU, CPU and device state. The check is COMPLETE at 2054 states,
@@ -346,31 +321,13 @@ void BM_ExhaustiveKernelized(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(states));
   state.counters["bytes_per_state"] = static_cast<double>(report.peak_state_bytes) /
                                       static_cast<double>(report.states_explored);
-  SetPhaseCounters(state, report);
+  // The last check's wall time per checker phase, in milliseconds: E20's
+  // split of the E16 check between exploration and the class check.
+  state.counters["explore_ms"] = static_cast<double>(report.explore_ns) / 1e6;
+  state.counters["frontier_ms"] = static_cast<double>(report.frontier_ns) / 1e6;
+  state.counters["class_check_ms"] = static_cast<double>(report.class_check_ns) / 1e6;
 }
 BENCHMARK(BM_ExhaustiveKernelized)->UseRealTime();
-
-// The same kernelized check with all hardware threads. Against
-// BM_ExhaustiveKernelized this yields `exhaustive_steal_speedup` in
-// bench_report (the name predates the level-synchronous engine), guarded
-// like exhaustive_parallel_speedup and, like it, skipped on single-core
-// hosts where the honest value is <= 1.
-void BM_ExhaustiveKernelizedSteal(benchmark::State& state) {
-  auto system = BuildCycleConfig();
-  ExhaustiveOptions options;
-  options.max_states = 8192;
-  options.threads = 0;  // all hardware threads
-  std::size_t states = 0;
-  ExhaustiveReport report;
-  for (auto _ : state) {
-    report = CheckSeparabilityExhaustive(*system, options);
-    benchmark::DoNotOptimize(report.states_explored);
-    states += report.states_explored;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(states));
-  SetPhaseCounters(state, report);
-}
-BENCHMARK(BM_ExhaustiveKernelizedSteal)->UseRealTime();
 
 }  // namespace
 }  // namespace sep

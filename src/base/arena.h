@@ -10,8 +10,7 @@
 // many candidate comparisons the caller's `equals` needs.
 //
 // HashIndex is not thread-safe for writes (Find() is safe concurrently with
-// other Find()s). The checker's state store has one writer, the merge
-// thread, which interns between the pool's slices.
+// other Find()s). The checker runs on one thread.
 #ifndef SRC_BASE_ARENA_H_
 #define SRC_BASE_ARENA_H_
 

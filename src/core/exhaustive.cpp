@@ -12,55 +12,44 @@
 #include "src/base/hash.h"
 #include "src/base/logging.h"
 #include "src/base/strings.h"
-#include "src/base/thread_pool.h"
 #include "src/obs/trace.h"
 
 namespace sep {
 
 namespace {
 
-// The checker is parallel and its report is deterministic by construction.
+// The checker runs on one thread, and its report is a function of the
+// system and the options alone.
 //
-// Exploration is a level-synchronous BFS. Each level is cut into slices of
-// kSliceStates states. The pool expands one slice at a time: a worker
-// restores the state, applies every successor, records the FAILED checks
-// and diffs each successor against the state (Diff). After the slice
-// barrier one merge thread walks the slice in canonical order. It interns
-// each successor into the state store (StateStore below), which numbers
-// new states first-come, counts transitions, checks and violations, and
-// applies the two cut rules: max_violations is tested between states, and
-// the state budget is tested before a state is admitted.
+// Exploration is a breadth-first search from the initial state, expanding
+// states in id order. ExpandOne restores a state and applies every
+// successor in canonical order; it checks conditions (2) and (4) on each
+// transition, diffs the successor against the state (Diff) and admits it
+// into the state store (Admit, StateStore below) before it applies the
+// next. The store numbers new states first-come, so ids are BFS order. Two
+// cut rules apply: max_violations is tested between states, and the state
+// budget before each admission.
 //
-// While it expands a state, the worker also takes the state's record:
-// everything of it that conditions (6), (1), (3) and (5) read. The merge
-// thread interns each field into a class id by exact word content. After
-// exploration the class check decides those conditions once per
-// (colour, Φ-group) from the records alone, with no restore.
-//
-// The slice size is a constant, so which states get expanded depends on the
-// system and options alone, never on the thread count. Every report field
-// follows from that with no replay: ids, violation order, truncation points
-// and transition counts, but also restore_count (the RestoreFullState calls
-// actually made) and peak_state_bytes (the store actually built).
+// While it expands a state, ExpandOne also takes the state's record:
+// everything of it that conditions (6), (1), (3) and (5) read, each field
+// interned into a class id by exact word content. After exploration the
+// class check decides those conditions once per (colour, Φ-group) from the
+// records alone, with no restore.
 //
 // No live SharedSystem is retained per explored state. Each state exists
-// only as its serialized FullState() words; each worker reconstructs it
-// on demand (RestoreFullState) into one scratch instance, once per
-// successor it applies: the state's own record fields are read from the
-// restore that serves its first successor. A successor differs from its
-// parent in a few chunks, so the worker hashes only those and hands them to
-// the merge thread with the successor's hash and length (Diff), and
-// materializing a state copies only the chunks that differ from the
-// worker's last one (MaterializeState). The state hash is a sum of
-// position-salted per-chunk terms (ChunkTerm), so a successor's hash is its
-// parent's with the differing chunks' terms swapped.
+// only as its serialized FullState() words; the run reconstructs it on
+// demand (RestoreFullState) into one scratch instance, once per successor
+// it applies: the state's own record fields are read from the restore that
+// serves its first successor. A successor differs from its parent in a few
+// chunks, so only those are hashed and looked up, and materializing a state
+// copies only the chunks that differ from the last one (MaterializeState).
+// The state hash is a sum of position-salted per-chunk terms (ChunkTerm),
+// so a successor's hash is its parent's with the differing chunks' terms
+// swapped.
 
 constexpr std::size_t kChunkWords = 64;
 // Chunks compared at once when a successor is diffed (Diff).
 constexpr std::size_t kScanChunks = 8;
-// States expanded per parallel slice. Exploration stops at a cut rule only
-// between slices, so this bounds the work done past the cut.
-constexpr std::size_t kSliceStates = 64;
 
 // Trace payload words are 16-bit; saturate rather than wrap so a reader can
 // tell "at least 65535" from a small value.
@@ -78,13 +67,20 @@ std::size_t ChunkLength(std::size_t index, std::size_t len) {
   return std::min(kChunkWords, len - index * kChunkWords);
 }
 
-// One stored state as a worker holds it: its words, its state hash and,
-// per kChunkWords-word chunk at fixed offsets, the chunk's ref and hash.
+// One stored state as the run holds it: its words, its state hash and, per
+// kChunkWords-word chunk at fixed offsets, the chunk's ref and hash.
 struct Materialized {
   std::vector<Word> words;
   std::uint64_t hash = 0;
   std::vector<std::uint32_t> refs;
   std::vector<std::uint64_t> hashes;
+};
+
+// A chunk of a successor that differs from its parent's chunk at the same
+// offset: its index and hash.
+struct Change {
+  std::uint32_t index;
+  std::uint64_t hash;
 };
 
 // The state hash is a sum: a term for the length plus one term per chunk,
@@ -97,8 +93,8 @@ std::uint64_t ChunkTerm(std::size_t index, std::uint64_t chunk_hash) {
   return Mix64(chunk_hash + (index + 1) * 0x9E3779B97F4A7C15ULL);
 }
 
-// Exact interning of word strings to dense ids, on one thread. A hit needs
-// equal content, never hash identity alone, so equal ids mean equal words.
+// Exact interning of word strings to dense ids. A hit needs equal content,
+// never hash identity alone, so equal ids mean equal words.
 class WordInterner {
  public:
   // Returns the id of `words`, or -1.
@@ -143,20 +139,16 @@ class WordInterner {
   std::vector<std::uint64_t> hashes_;
 };
 
-// Compact interned storage for serialized states, with one writer: the
-// merge thread, between slices. Workers only read it (MaterializeState),
-// inside a slice, so the pool's barrier orders every read against every
-// write and nothing is locked. Serializations are cut into kChunkWords-word
-// chunks at fixed offsets; each distinct chunk is stored once, in a
-// WordInterner.
+// Compact interned storage for serialized states. Serializations are cut
+// into kChunkWords-word chunks at fixed offsets; each distinct chunk is
+// stored once, in a WordInterner.
 //
 // A state record is its chunk-ref list plus exact word count. Because chunk
 // ids are content-addressed within a run, two equal serializations always
 // produce identical ref lists, so state equality is a cheap ref-list
-// memcmp. State ids are handed out in admission order, which is canonical
-// order, so a state's id is its canonical id. Appends happen in that order
-// too, so every capacity, and thus bytes(), is the same at every thread
-// count.
+// memcmp. State ids are handed out in admission order, which is BFS order.
+// The store is appended to in that order alone, so every capacity, and thus
+// bytes(), is the same on every run.
 class StateStore {
  public:
   std::size_t size() const { return state_hashes_.size(); }
@@ -238,52 +230,13 @@ class StateStore {
   std::vector<std::uint64_t> state_hashes_;
 };
 
-// What a worker records for one expanded state, in canonical successor
-// order: the operation, then each input value into each unit, then each
-// unit's activity. Passing checks are only counted. Each successor is a
-// diff against the expanded state (Diff), which the merge thread interns
-// (Admit).
-struct Expansion {
-  struct Succ {
-    std::uint64_t hash;           // state hash
-    std::uint32_t len;            // words
-    std::uint32_t changes_begin;  // its changed chunks are changes[changes_begin ..
-    std::uint32_t changes_end;    // changes_end)
-  };
-  struct Change {
-    std::uint32_t index;  // the chunk's index in the successor
-    std::uint32_t begin;  // its words start at change_words[begin]
-    std::uint64_t hash;   // of those words
-  };
-  std::vector<Succ> succs;
-  std::vector<Change> changes;
-  std::vector<Word> change_words;
-  std::vector<std::uint8_t> checks;  // checks evaluated per successor
-  struct Fail {
-    std::uint32_t ordinal;  // index into succs
-    Violation violation;
-  };
-  std::vector<Fail> fails;  // in check order
-  // The state's record before interning: COLOUR, then each later field as
-  // words (see the record layout in ExhaustiveRun).
-  int colour = kColourNone;
-  struct Field {
-    std::size_t end;     // the field's words end at words[end]
-    std::uint64_t hash;  // of those words
-    int table;           // class table that interns them; -1: field unused
-  };
-  std::vector<Word> words;
-  std::vector<Field> fields;
-};
-
 class ExhaustiveRun {
  public:
   ExhaustiveRun(const SharedSystem& initial, const ExhaustiveOptions& options)
       : options_(options),
         budget_(std::max<std::size_t>(options.max_states, 1)),
-        initial_(initial.Clone()),
-        pool_(options.threads) {
-    scratch_.resize(static_cast<std::size_t>(pool_.size()));
+        initial_(initial.Clone()) {
+    sc_.work = initial_->Clone();
     colours_ = initial_->ColourCount();
     units_ = initial_->UnitCount();
     stride_ = StepField(units_);
@@ -320,9 +273,7 @@ class ExhaustiveRun {
     timed(report_.explore_ns, [&] {
       // The initial state is diffed against no parent, so every chunk is
       // new; the budget is at least 1, so it is always admitted.
-      Expansion init;
-      Diff(*init_key, Materialized{}, init);
-      Admit(-1, init, init.succs[0]);
+      Admit(*init_key, Materialized{});
       Explore();
     });
     if (!Done()) {
@@ -333,64 +284,42 @@ class ExhaustiveRun {
     report_.states_explored = store_.size();
     report_.peak_state_bytes = store_.bytes();
     report_.shard_max_load = store_.size();
-    report_.worker_expanded.resize(scratch_.size());
-    report_.worker_restores.resize(scratch_.size());
-    for (std::size_t w = 0; w < scratch_.size(); ++w) {
-      report_.restore_count += scratch_[w].restores;
-      report_.worker_expanded[w] = scratch_[w].expanded;
-      report_.worker_restores[w] = scratch_[w].restores;
-    }
     return std::move(report_);
   }
 
  private:
-  // Per-worker scratch: one live system reconstructed on demand plus the
-  // reusable buffers of every hot loop. Indexed by the pool's worker index;
-  // never touched by two threads at once.
+  // One live system reconstructed on demand, plus the reusable buffers of
+  // every hot loop.
   struct Scratch {
     std::unique_ptr<SharedSystem> work;  // the state, then each successor
     bool work_is_key = false;            // work holds key, not yet mutated
     Materialized key;                    // the state being expanded, as stored
-    std::vector<Word> ser;               // successor serialization scratch
-    std::vector<Word> phi;               // abstraction scratch
-    std::uint64_t restores = 0;
-    std::uint64_t expanded = 0;
+    std::vector<Word> ser;               // successor serialization
+    std::vector<Change> changes;         // Diff: the chunks that differ
+    std::vector<std::uint32_t> refs;     // Admit's ref list
+    std::vector<Word> words;             // a record field's or a Φ's words
   };
 
-  Scratch& ScratchHere() {
-    Scratch& sc = scratch_[static_cast<std::size_t>(ThreadPool::CurrentWorkerIndex())];
-    if (sc.work == nullptr) {
-      sc.work = initial_->Clone();
-    }
-    return sc;
-  }
-
-  static void Restore(SharedSystem& sys, std::span<const Word> key, Scratch& sc) {
-    const bool ok = sys.RestoreFullState(key);
-    SEP_CHECK(ok);
-    ++sc.restores;
-  }
-
-  // Appends `words`, a successor of `parent`, to `e` as a diff: its hash,
-  // its length and each chunk that differs from `parent`'s chunk at the same
-  // offset and length, with that chunk's index, hash and words. Only the
-  // chunks that differ are hashed. When the lengths agree, the state hash is
-  // the parent's with the differing chunks' terms swapped (ChunkTerm);
-  // otherwise it is summed afresh, from the parent's chunk hashes where the
-  // chunks match.
+  // Returns the state hash of `words`, a successor of `parent`, and puts in
+  // `changes` each chunk that differs from `parent`'s chunk at the same
+  // offset and length. Only the chunks that differ are hashed. When the
+  // lengths agree, the state hash is the parent's with the differing
+  // chunks' terms swapped (ChunkTerm); otherwise it is summed afresh, from
+  // the parent's chunk hashes where the chunks match.
   //
   // A successor matches its parent almost everywhere, so the words are
   // compared a block of kScanChunks chunks at a time, and chunk by chunk
   // only inside a block that differs: one compare call per chunk cost more
   // than the compare.
-  static void Diff(std::span<const Word> words, const Materialized& parent, Expansion& e) {
+  static std::uint64_t Diff(std::span<const Word> words, const Materialized& parent,
+                            std::vector<Change>& changes) {
     const bool incremental = !parent.words.empty() && words.size() == parent.words.size();
     std::uint64_t hash = incremental ? parent.hash : LengthTerm(words.size());
     const auto same = [&](std::size_t begin, std::size_t end) {
       return std::memcmp(words.data() + begin, parent.words.data() + begin,
                          (end - begin) * sizeof(Word)) == 0;
     };
-    const auto changes_begin = static_cast<std::uint32_t>(e.changes.size());
+    changes.clear();
     for (std::size_t i = 0, block = 0; block < words.size(); block += kScanChunks * kChunkWords) {
       const std::size_t block_end = std::min(block + kScanChunks * kChunkWords, words.size());
       const bool block_same = block_end <= parent.words.size() && same(block, block_end);
@@ -405,46 +334,41 @@ class ExhaustiveRun {
           continue;
         }
         const std::uint64_t chunk_hash = HashWords(words.data() + base, end - base);
-        e.changes.push_back({static_cast<std::uint32_t>(i),
-                             static_cast<std::uint32_t>(e.change_words.size()), chunk_hash});
-        e.change_words.insert(e.change_words.end(), words.begin() + base, words.begin() + end);
+        changes.push_back({static_cast<std::uint32_t>(i), chunk_hash});
         hash += ChunkTerm(i, chunk_hash);
         if (incremental) {
           hash -= ChunkTerm(i, parent.hashes[i]);
         }
       }
     }
-    e.succs.push_back({hash, static_cast<std::uint32_t>(words.size()), changes_begin,
-                       static_cast<std::uint32_t>(e.changes.size())});
+    return hash;
   }
 
-  // Merge thread: the id of successor `s` in `e` of state `from` (-1: no
-  // parent), admitting it if it is new and the budget has room; -1 if the
-  // budget refuses it. Its ref list is the parent's with the changed
-  // chunks' refs put in. A changed chunk the store lacks belongs to no
-  // stored state, so the successor is new, and neither it nor its chunks
-  // are stored unless it is admitted.
-  std::int32_t Admit(std::int32_t from, const Expansion& e, const Expansion::Succ& s) {
+  // The id of `words`, a successor of `parent` (empty: the initial state),
+  // admitting it if it is new and the budget has room; -1 if the budget
+  // refuses it. Its ref list is the parent's with the refs of the chunks
+  // Diff finds changed put in. A changed chunk the store lacks belongs to
+  // no stored state, so the successor is new, and neither it nor its
+  // chunks are stored unless it is admitted.
+  std::int32_t Admit(std::span<const Word> words, const Materialized& parent) {
     constexpr std::uint32_t kMissing = UINT32_MAX;
-    const std::span<const Expansion::Change> changes(e.changes.data() + s.changes_begin,
-                                                     e.changes.data() + s.changes_end);
-    const auto words_of = [&](const Expansion::Change& c) {
-      return std::span<const Word>(e.change_words.data() + c.begin, ChunkLength(c.index, s.len));
+    const std::uint64_t hash = Diff(words, parent, sc_.changes);
+    const auto words_of = [&](const Change& c) {
+      return words.subspan(c.index * kChunkWords, ChunkLength(c.index, words.size()));
     };
-    const std::size_t chunks = (s.len + kChunkWords - 1) / kChunkWords;
-    const std::span<const std::uint32_t> parent =
-        from < 0 ? std::span<const std::uint32_t>() : store_.Refs(from);
-    const std::span<const std::uint32_t> kept = parent.first(std::min(parent.size(), chunks));
-    refs_.assign(kept.begin(), kept.end());
-    refs_.resize(chunks, kMissing);
+    std::vector<std::uint32_t>& refs = sc_.refs;
+    const std::size_t chunks = (words.size() + kChunkWords - 1) / kChunkWords;
+    const auto kept = std::span(parent.refs).first(std::min(parent.refs.size(), chunks));
+    refs.assign(kept.begin(), kept.end());
+    refs.resize(chunks, kMissing);
     bool known = true;
-    for (const Expansion::Change& c : changes) {
+    for (const Change& c : sc_.changes) {
       const std::int32_t id = store_.FindChunk(c.hash, words_of(c));
-      refs_[c.index] = static_cast<std::uint32_t>(id);
+      refs[c.index] = static_cast<std::uint32_t>(id);
       known = known && id >= 0;
     }
     if (known) {
-      const std::int32_t id = store_.FindState(s.hash, refs_, s.len);
+      const std::int32_t id = store_.FindState(hash, refs, words.size());
       if (id >= 0) {
         return id;
       }
@@ -452,28 +376,19 @@ class ExhaustiveRun {
     if (store_.size() >= budget_) {
       return -1;
     }
-    for (const Expansion::Change& c : changes) {
-      if (refs_[c.index] == kMissing) {
-        refs_[c.index] = store_.InternChunk(c.hash, words_of(c));
+    for (const Change& c : sc_.changes) {
+      if (refs[c.index] == kMissing) {
+        refs[c.index] = store_.InternChunk(c.hash, words_of(c));
       }
     }
-    return store_.AddState(s.hash, refs_, s.len);
-  }
-
-  // Appends Φ^colour of `sys` into `buf` (cleared first) and compares it
-  // against `expected`.
-  static bool SamePhi(const SharedSystem& sys, int colour, std::vector<Word>& buf,
-                      std::span<const Word> expected) {
-    buf.clear();
-    sys.AppendAbstract(colour, buf);
-    return std::ranges::equal(buf, expected);
+    return store_.AddState(hash, refs, words.size());
   }
 
   bool InRange(int colour) const { return colour >= 0 && colour < colours_; }
 
   // --- the per-state record ---
   //
-  // One int32 per field, `stride_` fields per canonical id:
+  // One int32 per field, `stride_` fields per id:
   //   COLOUR(s);
   //   NEXTOP(s);
   //   Φ^c(s) for each colour c;
@@ -505,120 +420,110 @@ class ExhaustiveRun {
     return records_.data() + static_cast<std::size_t>(id) * stride_;
   }
 
-  // Appends a record field whose words `append` writes (when `table` is -1,
-  // the field is unused and gets no words).
+  // Appends to the record being taken the class of the words `append`
+  // writes, interned into class table `table` (-1: the field is unused).
   template <typename Append>
-  static void AddField(Expansion& e, int table, Append append) {
-    const std::size_t begin = e.words.size();
-    if (table >= 0) {
-      append(e.words);
+  void AddField(int table, Append append) {
+    if (table < 0) {
+      records_.push_back(-1);
+      return;
     }
-    e.fields.push_back(
-        {e.words.size(), HashWords(e.words.data() + begin, e.words.size() - begin), table});
+    std::vector<Word>& words = sc_.words;
+    words.clear();
+    append(words);
+    records_.push_back(tables_[static_cast<std::size_t>(table)].Intern(
+        HashWords(words.data(), words.size()), words));
   }
 
-  void AddPhiField(Expansion& e, const SharedSystem& sys, int colour) const {
-    AddField(e, InRange(colour) ? colour : -1,
+  void AddPhiField(const SharedSystem& sys, int colour) {
+    AddField(InRange(colour) ? colour : -1,
              [&](std::vector<Word>& out) { sys.AppendAbstract(colour, out); });
   }
 
-  // Φ^colour of the expanded state, as its record field holds it. e.fields
-  // starts at NEXTOP, one field after the record's COLOUR.
-  std::span<const Word> StatePhi(const Expansion& e, int colour) const {
-    const std::size_t k = PhiField(colour) - 1;
-    return {e.words.data() + e.fields[k - 1].end, e.words.data() + e.fields[k].end};
+  // True when Φ^colour of `sys` equals Φ^colour of state `from`, as its
+  // record holds it.
+  bool SamePhi(const SharedSystem& sys, std::int32_t from, int colour) {
+    std::vector<Word>& words = sc_.words;
+    words.clear();
+    sys.AppendAbstract(colour, words);
+    return std::ranges::equal(
+        words, tables_[static_cast<std::size_t>(colour)].Get(RecordOf(from)[PhiField(colour)]));
   }
 
-  // Merge thread: interns `e`'s fields and appends the state's record.
-  void InternRecord(const Expansion& e) {
-    records_.push_back(e.colour);
-    std::size_t begin = 0;
-    for (const Expansion::Field& f : e.fields) {
-      records_.push_back(f.table < 0 ? -1
-                                     : tables_[static_cast<std::size_t>(f.table)].Intern(
-                                           f.hash, {e.words.data() + begin, f.end - begin}));
-      begin = f.end;
-    }
-    SEP_DCHECK(records_.size() % stride_ == 0);
+  // --- exploration ---
+
+  void RestoreKey() {
+    const bool ok = sc_.work->RestoreFullState(sc_.key.words);
+    SEP_CHECK(ok);
+    ++report_.restore_count;
   }
 
-  // --- exploration: workers expand, the merge thread numbers ---
-
-  // One successor of the state held in sc.key: reconstructs it in sc.work,
-  // unless sc.work still holds it unmutated, and applies `mutate`, which
-  // also adds the successor's record fields. When `expand` is set it then
-  // checks condition `cond` (Φ of every colour but `exempt` is unchanged)
-  // and diffs the result against the state.
+  // One successor of state `from`, held in sc_.key: reconstructs it in
+  // sc_.work, unless sc_.work still holds it unmutated, and applies
+  // `mutate`, which also adds the successor's record fields. When `explore`
+  // is set it is then a transition: it checks condition `cond` (Φ of every
+  // colour but `exempt` is unchanged) and admits the result. Once the budget
+  // has refused a successor, the state's later successors only give their
+  // record fields.
   template <typename Mutate, typename Describe>
-  void Successor(Scratch& sc, Expansion& e, bool expand, int cond, int exempt, Mutate mutate,
+  void Successor(std::int32_t from, bool explore, int cond, int exempt, Mutate mutate,
                  Describe describe) {
-    const auto ordinal = static_cast<std::uint32_t>(e.succs.size());
-    if (!sc.work_is_key) {
-      Restore(*sc.work, sc.key.words, sc);
+    if (!sc_.work_is_key) {
+      RestoreKey();
     }
-    sc.work_is_key = false;
-    mutate(*sc.work);
-    if (!expand) {
+    sc_.work_is_key = false;
+    mutate(*sc_.work);
+    if (!explore || overflowed_) {
       return;
     }
+    ++report_.transitions;
     // A from-state whose active colour is outside the regime range (e.g.
     // kernel mode) is checked against every colour, so the count varies.
-    std::uint8_t checks = 0;
+    ConditionStats& stats = report_.conditions[static_cast<std::size_t>(cond)];
     for (int c = 0; c < colours_; ++c) {
       if (c == exempt) {
         continue;
       }
-      ++checks;
-      if (!SamePhi(*sc.work, c, sc.phi, StatePhi(e, c))) {
-        e.fails.push_back({ordinal, {cond, c, 0, describe(c)}});
+      ++stats.checks;
+      if (!SamePhi(*sc_.work, from, c)) {
+        CountViolation({cond, c, 0, describe(c)});
       }
     }
-    e.checks.push_back(checks);
-    sc.ser.clear();
-    sc.work->AppendFullState(sc.ser);
-    Diff(sc.ser, sc.key, e);
+    sc_.ser.clear();
+    sc_.work->AppendFullState(sc_.ser);
+    // A refused successor still counts as a transition.
+    overflowed_ = Admit(sc_.ser, sc_.key) < 0;
   }
 
-  // Every successor of one state, in canonical order, and the state's
-  // record. When `expand` is set, conditions (2) and (4) are checked on each
-  // transition and the successors are diffed; without it only the record
+  // Every successor of state `from`, in canonical order, and its record.
+  // When `explore` is set, conditions (2) and (4) are checked on each
+  // transition and the successors are admitted; without it only the record
   // is taken (a frontier state of a truncated run).
-  void ExpandOne(std::int32_t from, Expansion& e, bool expand) {
-    Scratch& sc = ScratchHere();
-    e.succs.clear();
-    e.changes.clear();
-    e.change_words.clear();
-    e.checks.clear();
-    e.fails.clear();
-    e.words.clear();
-    e.fields.clear();
-    if (expand) {
-      ++sc.expanded;
-    }
-
+  void ExpandOne(std::int32_t from, bool explore) {
+    SEP_DCHECK(records_.size() == static_cast<std::size_t>(from) * stride_);
     // One restore serves the state's own record fields and its first
     // successor: COLOUR, NEXTOP and every Φ^c are read before anything
-    // mutates sc.work.
-    store_.MaterializeState(from, sc.key);
-    Restore(*sc.work, sc.key.words, sc);
-    sc.work_is_key = true;
-    const int active = sc.work->Colour();
-    e.colour = active;
-    AddField(e, NextopTable(), [&](std::vector<Word>& out) {
-      const OperationId op = sc.work->NextOperation();
+    // mutates sc_.work.
+    store_.MaterializeState(from, sc_.key);
+    RestoreKey();
+    sc_.work_is_key = true;
+    const int active = sc_.work->Colour();
+    records_.push_back(active);
+    AddField(NextopTable(), [&](std::vector<Word>& out) {
+      const OperationId op = sc_.work->NextOperation();
       out.push_back(static_cast<Word>(op.kind));
       out.insert(out.end(), op.detail.begin(), op.detail.end());
     });
     for (int c = 0; c < colours_; ++c) {
-      AddPhiField(e, *sc.work, c);
+      AddPhiField(*sc_.work, c);
     }
 
     // (a) the operation NEXTOP(s).
     Successor(
-        sc, e, expand, 2, active,
+        from, explore, 2, active,
         [&](SharedSystem& sys) {
           sys.ExecuteOperation();
-          AddPhiField(e, sys, active);
+          AddPhiField(sys, active);
         },
         [&](int c) { return Format("operation of colour %d changed Φ of colour %d", active, c); });
 
@@ -627,10 +532,10 @@ class ExhaustiveRun {
       const int colour = initial_->UnitColour(unit);
       for (int value = 1; value <= options_.inputs_per_unit; ++value) {
         Successor(
-            sc, e, expand, 4, colour,
+            from, explore, 4, colour,
             [&](SharedSystem& sys) {
               sys.InjectInput(unit, static_cast<Word>(value));
-              AddPhiField(e, sys, colour);
+              AddPhiField(sys, colour);
             },
             [&](int c) { return Format("input to unit %d visible to colour %d", unit, c); });
       }
@@ -640,19 +545,20 @@ class ExhaustiveRun {
     for (int unit = 0; unit < units_; ++unit) {
       const int colour = initial_->UnitColour(unit);
       Successor(
-          sc, e, expand, 4, colour,
+          from, explore, 4, colour,
           [&](SharedSystem& sys) {
             sys.StepUnit(unit);
             // Condition 3 reads the step's Φ before the output is drained;
             // the drain keeps the state space bounded.
-            AddPhiField(e, sys, colour);
+            AddPhiField(sys, colour);
             const std::vector<Word> output = sys.DrainOutput(unit);
-            AddField(e, OutputTable(), [&](std::vector<Word>& out) {
+            AddField(OutputTable(), [&](std::vector<Word>& out) {
               out.insert(out.end(), output.begin(), output.end());
             });
           },
           [&](int c) { return Format("activity of unit %d visible to colour %d", unit, c); });
     }
+    SEP_DCHECK(records_.size() == static_cast<std::size_t>(from + 1) * stride_);
   }
 
   bool Done() const {
@@ -666,72 +572,35 @@ class ExhaustiveRun {
     }
   }
 
-  // Consumes the expansion of state `from`: its record, then its
-  // successors in order. Done() is not tested inside a state's successor
-  // list; the state budget is, before each admission.
-  void Merge(std::int32_t from, const Expansion& e) {
-    InternRecord(e);
-    std::size_t fi = 0;
-    for (std::uint32_t ord = 0; ord < e.succs.size(); ++ord) {
-      ++report_.transitions;
-      // The operation successor comes first (condition 2); inputs and unit
-      // activity follow (condition 4).
-      report_.conditions[ord == 0 ? 2 : 4].checks += e.checks[ord];
-      for (; fi < e.fails.size() && e.fails[fi].ordinal == ord; ++fi) {
-        CountViolation(e.fails[fi].violation);
-      }
-      if (Admit(from, e, e.succs[ord]) < 0) {
-        overflowed_ = true;
-        return;
-      }
-    }
-  }
-
-  // Level-synchronous BFS from the admitted initial state. Ids are handed
-  // out in BFS order, so each level is the id range its predecessor level
-  // admitted.
+  // BFS from the admitted initial state. Ids are handed out in BFS order, so
+  // each level is the id range its predecessor level admitted. Done() is
+  // tested between states, never inside a state's successor list; the state
+  // budget is tested before each admission.
   void Explore() {
     std::size_t level_begin = 0;
     std::size_t depth = 0;
     while (level_begin < store_.size() && !Done() && !overflowed_) {
       const std::size_t level_end = store_.size();
-      // One heartbeat per BFS level: tick carries the canonical store size
-      // (states may exceed a Word), a0/a1 the saturated level width/depth.
+      // One heartbeat per BFS level: tick carries the store size (states may
+      // exceed a Word), a0/a1 the saturated level width/depth.
       if (obs::Enabled()) {
         obs::Emit(obs::Category::kChecker, obs::Code::kHeartbeat, obs::kColourKernel, level_end,
                   SaturateWord(level_end - level_begin), SaturateWord(depth));
       }
       ++depth;
-      for (std::size_t base = level_begin; base < level_end && !Done() && !overflowed_;
-           base += kSliceStates) {
-        const std::size_t count = std::min(kSliceStates, level_end - base);
-        pool_.ParallelFor(count, [&](std::size_t i) {
-          ExpandOne(static_cast<std::int32_t>(base + i), slice_[i], true);
-        });
-        const auto merge_start = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < count && !Done() && !overflowed_; ++i) {
-          Merge(static_cast<std::int32_t>(base + i), slice_[i]);
-        }
-        report_.merge_ns += NanosSince(merge_start);
+      for (std::size_t id = level_begin; id < level_end && !Done() && !overflowed_; ++id) {
+        ExpandOne(static_cast<std::int32_t>(id), true);
       }
       level_begin = level_end;
     }
     report_.complete = level_begin == store_.size() && !overflowed_ && !Done();
   }
 
-  // Records of the admitted states exploration never merged (the frontier
-  // of a truncated run), taken by restore through ExpandOne and interned in
-  // canonical order.
+  // Records of the admitted states exploration never expanded (the frontier
+  // of a truncated run), taken by restore through ExpandOne.
   void RecordFrontier() {
-    const std::size_t n = store_.size();
-    for (std::size_t base = records_.size() / stride_; base < n; base += kSliceStates) {
-      const std::size_t count = std::min(kSliceStates, n - base);
-      pool_.ParallelFor(count, [&](std::size_t i) {
-        ExpandOne(static_cast<std::int32_t>(base + i), slice_[i], false);
-      });
-      for (std::size_t i = 0; i < count; ++i) {
-        InternRecord(slice_[i]);
-      }
+    for (std::size_t id = records_.size() / stride_; id < store_.size(); ++id) {
+      ExpandOne(static_cast<std::int32_t>(id), false);
     }
   }
 
@@ -884,16 +753,11 @@ class ExhaustiveRun {
   std::unique_ptr<SharedSystem> initial_;
   int colours_ = 0;
   int units_ = 0;
-  ThreadPool pool_;
-  std::vector<Scratch> scratch_;
-  std::vector<Expansion> slice_ = std::vector<Expansion>(kSliceStates);
+  Scratch sc_;
 
-  // Written by the merge thread alone; workers read the store inside a
-  // slice.
   StateStore store_;
-  std::vector<std::uint32_t> refs_;         // Admit's ref-list scratch
   std::size_t stride_ = 0;                  // record fields per state
-  std::vector<std::int32_t> records_;       // canon id * stride_ -> record
+  std::vector<std::int32_t> records_;       // id * stride_ -> record
   std::vector<WordInterner> tables_;        // class tables, see NextopTable()
   std::vector<std::vector<int>> units_of_;  // units of each colour
   bool overflowed_ = false;

@@ -24,21 +24,19 @@
 // admitted. The violation budget (`max_violations`) is the only other cut,
 // and a run it stops has found violations.
 //
-// Exploration is a level-synchronous BFS: each level is expanded in
-// fixed-size slices on a thread pool and merged by one thread in canonical
-// order. The merge thread is the state store's only writer: it interns the
-// successors and numbers the record classes by exact content. Because the
-// slice size is a constant, the report is byte-identical at every thread
-// count by construction (docs/PERFORMANCE.md §6).
+// Exploration is a breadth-first search on one thread: each state is
+// expanded in id order, and each successor is admitted into the state store
+// as soon as it is produced, so the report is a function of the system and
+// the options alone.
 //
 // Requires SharedSystem::FullState() support (a canonical serialization of
 // the complete concrete state) and its inverse RestoreFullState(): the
 // checker stores only the serialized words — deduplicated 64-word chunks in
-// a flat arena — and reconstructs live systems on demand, one scratch
-// instance per pool worker, so peak memory is O(serialized words), not
-// O(live machines). A worker hands each successor to the merge thread as
-// the chunks that differ from its parent's, hashed; every equality test
-// compares words (PERFORMANCE.md §4).
+// a flat arena — and reconstructs a live system on demand into one scratch
+// instance, so peak memory is O(serialized words), not O(live machines).
+// Each successor is stored as its parent's chunks with the ones that differ
+// put in, and only those are hashed; every equality test compares words
+// (PERFORMANCE.md §4).
 #ifndef SRC_CORE_EXHAUSTIVE_H_
 #define SRC_CORE_EXHAUSTIVE_H_
 
@@ -57,12 +55,12 @@ struct ExhaustiveOptions {
   // each unit (plus the implicit "no input").
   int inputs_per_unit = 2;
   int max_violations = 16;
-  // Worker threads for expansion (0 = all hardware threads). Every report
-  // field except the per-worker and phase-time diagnostics is the same at
-  // every thread count.
+  // Has no effect: the checker runs on one thread. Kept only because
+  // perfbench's `verify` workload assigns it, and perfbench changes only
+  // with its benchmark (ROADMAP item 3, step 1); nothing else may set it.
   int threads = 1;
-  // Has no effect: exploration has no steal schedule to perturb. Kept so
-  // existing callers still compile.
+  // Has no effect: exploration has no steal schedule to perturb. Kept, and
+  // not to be set, for the same reason as `threads`.
   std::uint64_t steal_seed = 0;
 };
 
@@ -77,31 +75,25 @@ struct ExhaustiveReport {
   // tables and hash indexes) at the end of the run — the checker keeps no
   // live machine per state, so this is the scaling-relevant number. The
   // store holds the admitted states alone: a truncated run does not store
-  // the successors the budget refused. It is appended to in canonical
-  // order, so its size is the same at every thread count.
+  // the successors the budget refused. It is appended to in BFS order, so
+  // its size is the same on every run.
   std::size_t peak_state_bytes = 0;
   // RestoreFullState calls the run made: one per successor it applies, for
   // expanded and frontier states alike (a state's own COLOUR, NEXTOP and Φ
-  // are read from the restore that serves its first successor). The class
-  // check restores nothing. Deterministic, like the store size: which
-  // states get expanded does not depend on the thread count.
+  // are read from the restore that serves its first successor), and none
+  // for a state past a cut. The class check restores nothing.
   std::uint64_t restore_count = 0;
-  // Always 0: the checker no longer steals work. Kept for existing readers.
+  // Always 0: the checker does not steal work. Kept only because perfbench's
+  // `verify` workload reads it (core.steals), as ExhaustiveOptions::threads.
   std::uint64_t steal_count = 0;
   // The stored-state count, as states_explored: the store is not sharded.
-  // Kept for existing readers (perfbench's core.shard_max_load).
+  // Kept only because perfbench's `verify` workload reads it
+  // (core.shard_max_load), as ExhaustiveOptions::threads.
   std::size_t shard_max_load = 0;
-  // States expanded and restores made by each pool worker.
-  // Schedule-dependent, like the phase times below.
-  std::vector<std::uint64_t> worker_expanded;
-  std::vector<std::uint64_t> worker_restores;
   // Wall-clock nanoseconds of each phase: exploration (with the records of
   // expanded states), the records of a truncated run's frontier, and the
-  // class checks; and, within explore_ns, the merge thread's time in Merge
-  // (interning successors and records between slices). Diagnostics, not in
-  // Summary().
+  // class checks. Diagnostics, not in Summary().
   std::int64_t explore_ns = 0;
-  std::int64_t merge_ns = 0;
   std::int64_t frontier_ns = 0;
   std::int64_t class_check_ns = 0;
 

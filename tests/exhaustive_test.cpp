@@ -93,76 +93,5 @@ TEST(Exhaustive, DeterministicAcrossRuns) {
   EXPECT_EQ(a.pairs_checked, b.pairs_checked);
 }
 
-// Every observable field of the report, compared exactly. The parallel
-// checker promises a report BYTE-IDENTICAL to the serial one; any drift in
-// counters, per-condition stats or violation ordering is a bug.
-void ExpectIdenticalReports(const ExhaustiveReport& serial, const ExhaustiveReport& parallel) {
-  EXPECT_EQ(serial.states_explored, parallel.states_explored);
-  EXPECT_EQ(serial.transitions, parallel.transitions);
-  EXPECT_EQ(serial.pairs_checked, parallel.pairs_checked);
-  EXPECT_EQ(serial.complete, parallel.complete);
-  for (std::size_t c = 0; c < serial.conditions.size(); ++c) {
-    EXPECT_EQ(serial.conditions[c].checks, parallel.conditions[c].checks) << "C" << c;
-    EXPECT_EQ(serial.conditions[c].violations, parallel.conditions[c].violations) << "C" << c;
-  }
-  ASSERT_EQ(serial.violations.size(), parallel.violations.size());
-  for (std::size_t i = 0; i < serial.violations.size(); ++i) {
-    EXPECT_EQ(serial.violations[i].condition, parallel.violations[i].condition) << i;
-    EXPECT_EQ(serial.violations[i].colour, parallel.violations[i].colour) << i;
-    EXPECT_EQ(serial.violations[i].step, parallel.violations[i].step) << i;
-    EXPECT_EQ(serial.violations[i].description, parallel.violations[i].description) << i;
-  }
-  // The state-store diagnostics are deterministic too: the merged store and
-  // the restore counts are independent of worker scheduling.
-  EXPECT_EQ(serial.peak_state_bytes, parallel.peak_state_bytes);
-  EXPECT_EQ(serial.restore_count, parallel.restore_count);
-  EXPECT_EQ(serial.Summary(), parallel.Summary());
-}
-
-TEST(Exhaustive, ParallelReportMatchesSerialOnSecureSystem) {
-  ExhaustiveOptions serial_opts;
-  serial_opts.threads = 1;
-  ExhaustiveOptions parallel_opts;
-  parallel_opts.threads = 4;
-  ExpectIdenticalReports(CheckSeparabilityExhaustive(TinySystem(false), serial_opts),
-                         CheckSeparabilityExhaustive(TinySystem(false), parallel_opts));
-}
-
-TEST(Exhaustive, ParallelReportMatchesSerialOnLeakySystem) {
-  // The leaky system exercises the hard part of determinism: violations must
-  // appear in the same order and be cut off at max_violations at the same
-  // point regardless of which worker found them first.
-  ExhaustiveOptions serial_opts;
-  serial_opts.threads = 1;
-  ExhaustiveOptions parallel_opts;
-  parallel_opts.threads = 4;
-  ExhaustiveReport serial = CheckSeparabilityExhaustive(TinySystem(true), serial_opts);
-  ExhaustiveReport parallel = CheckSeparabilityExhaustive(TinySystem(true), parallel_opts);
-  ASSERT_FALSE(serial.Passed());
-  ExpectIdenticalReports(serial, parallel);
-}
-
-TEST(Exhaustive, ParallelReportMatchesSerialUnderStateBudget) {
-  // Truncation order matters too: the overflow flag and the exact set of
-  // interned states depend on BFS order, which must not vary with threads.
-  ExhaustiveOptions serial_opts;
-  serial_opts.threads = 1;
-  serial_opts.max_states = 50;
-  ExhaustiveOptions parallel_opts = serial_opts;
-  parallel_opts.threads = 4;
-  ExhaustiveReport serial = CheckSeparabilityExhaustive(TinySystem(false), serial_opts);
-  ExhaustiveReport parallel = CheckSeparabilityExhaustive(TinySystem(false), parallel_opts);
-  EXPECT_FALSE(serial.complete);
-  ExpectIdenticalReports(serial, parallel);
-}
-
-TEST(Exhaustive, ZeroThreadsMeansHardwareConcurrency) {
-  ExhaustiveOptions opts;
-  opts.threads = 0;  // all hardware threads
-  ExhaustiveReport report = CheckSeparabilityExhaustive(TinySystem(false), opts);
-  EXPECT_TRUE(report.complete);
-  EXPECT_TRUE(report.Passed());
-}
-
 }  // namespace
 }  // namespace sep

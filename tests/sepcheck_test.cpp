@@ -544,7 +544,6 @@ TEST(Catalog, ExhaustiveCheckerDecidesEveryEntry) {
   // cap of 16 violations. A COMPLETE and SEPARABLE line is a proof over the
   // whole reachable space (snfe-cut is the paper's cut SNFE); uncut
   // channels and shared rings are refuted by condition 2, as they must be.
-  // Reports are pinned at 1 and 4 threads.
   struct Decided {
     const char* name;
     const char* summary;
@@ -611,13 +610,10 @@ TEST(Catalog, ExhaustiveCheckerDecidesEveryEntry) {
     EXPECT_EQ(entry.name, kDecided[i].name);
     auto system = BuildEntrySystem(entry);
     ASSERT_TRUE(system.ok()) << entry.name << ": " << system.error();
-    for (int threads : {1, 4}) {
-      ExhaustiveOptions options;
-      options.max_states = 4096;
-      options.threads = threads;
-      EXPECT_EQ(CheckSeparabilityExhaustive(**system, options).Summary(), kDecided[i].summary)
-          << entry.name << ", threads=" << threads;
-    }
+    ExhaustiveOptions options;
+    options.max_states = 4096;
+    EXPECT_EQ(CheckSeparabilityExhaustive(**system, options).Summary(), kDecided[i].summary)
+        << entry.name;
   }
 }
 

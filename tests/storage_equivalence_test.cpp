@@ -6,8 +6,7 @@
 // from the checker that restored and re-ran every Φ-equal pair, with its
 // per-group pair cap lifted. The device-unit goldens were captured from the
 // checker that hashed every chunk of every successor. Every counter,
-// per-condition stat, violation order and Summary() byte is pinned, serial
-// and parallel.
+// per-condition stat, violation order and Summary() byte is pinned.
 //
 // Also here: FullState ∘ RestoreFullState round-trip properties, since the
 // equivalence above is exactly as trustworthy as that inverse.
@@ -17,7 +16,6 @@
 #include <memory>
 #include <string>
 
-#include "src/base/thread_pool.h"
 #include "src/core/exhaustive.h"
 #include "src/core/kernel_system.h"
 #include "src/machine/devices.h"
@@ -72,18 +70,8 @@ std::string Render(const ExhaustiveReport& r) {
   return out;
 }
 
-std::string Check(const SharedSystem& system, int threads, ExhaustiveOptions options = {}) {
-  options.threads = threads;
+std::string Check(const SharedSystem& system, const ExhaustiveOptions& options = {}) {
   return Render(CheckSeparabilityExhaustive(system, options));
-}
-
-// The golden must render the same at one thread, two, four and every
-// hardware thread.
-void ExpectGolden(const SharedSystem& system, const std::string& golden,
-                  const ExhaustiveOptions& options = {}) {
-  for (int threads : {1, 2, 4, ThreadPool::HardwareThreads()}) {
-    EXPECT_EQ(Check(system, threads, options), golden) << "threads=" << threads;
-  }
 }
 
 // Two counting loops whose product automaton is a long cycle: the E16
@@ -293,8 +281,7 @@ const std::string kGoldenEchoBroadcast1024 =
 
 TEST(StorageEquivalence, KernelizedGoodMatchesGolden) {
   auto system = BuildHalting();
-  EXPECT_EQ(Check(*system, 1), kGoldenGood);
-  EXPECT_EQ(Check(*system, 4), kGoldenGood);
+  EXPECT_EQ(Check(*system), kGoldenGood);
 }
 
 TEST(StorageEquivalence, KernelizedLeakConditionCodesMatchesGolden) {
@@ -304,179 +291,101 @@ TEST(StorageEquivalence, KernelizedLeakConditionCodesMatchesGolden) {
   KernelFaults faults;
   faults.leak_condition_codes = true;
   auto system = BuildHalting(faults);
-  EXPECT_EQ(Check(*system, 1), kGoldenGood);
-  EXPECT_EQ(Check(*system, 4), kGoldenGood);
+  EXPECT_EQ(Check(*system), kGoldenGood);
 }
 
 TEST(StorageEquivalence, KernelizedSkipRestoreMatchesGolden) {
-  // A real defect: violation count, ORDER and texts are pinned, serial and
-  // parallel.
+  // A real defect: violation count, ORDER and texts are pinned.
   KernelFaults faults;
   faults.skip_register_restore = true;
   auto system = BuildHalting(faults);
-  EXPECT_EQ(Check(*system, 1), kGoldenSkipRestore);
-  EXPECT_EQ(Check(*system, 4), kGoldenSkipRestore);
+  EXPECT_EQ(Check(*system), kGoldenSkipRestore);
 }
 
 TEST(StorageEquivalence, TinySystemsMatchGolden) {
-  ExpectGolden(TinyTwoUserSystem(false), kGoldenTinySecure);
-  ExpectGolden(TinyTwoUserSystem(true), kGoldenTinyLeaky);
+  EXPECT_EQ(Check(TinyTwoUserSystem(false)), kGoldenTinySecure);
+  EXPECT_EQ(Check(TinyTwoUserSystem(true)), kGoldenTinyLeaky);
 }
 
 TEST(StorageEquivalence, ViolationBudgetInsideGroupMatchesGolden) {
   ExhaustiveOptions options;
   options.max_violations = 1;
-  ExpectGolden(TinyTwoUserSystem(true), kGoldenTinyLeakyBudget1, options);
+  EXPECT_EQ(Check(TinyTwoUserSystem(true), options), kGoldenTinyLeakyBudget1);
   options.max_violations = 3;
-  ExpectGolden(TinyTwoUserSystem(true), kGoldenTinyLeakyBudget3, options);
+  EXPECT_EQ(Check(TinyTwoUserSystem(true), options), kGoldenTinyLeakyBudget3);
 }
 
 TEST(StorageEquivalence, FrontierRecordsMatchGolden) {
   ExhaustiveOptions options;
   options.max_states = 50;
-  ExpectGolden(TinyTwoUserSystem(false), kGoldenTinySecure50, options);
+  EXPECT_EQ(Check(TinyTwoUserSystem(false), options), kGoldenTinySecure50);
   options.max_states = 1000;
-  ExpectGolden(TinyTwoUserSystem(false), kGoldenTinySecure1000, options);
+  EXPECT_EQ(Check(TinyTwoUserSystem(false), options), kGoldenTinySecure1000);
 }
 
 TEST(StorageEquivalence, UnitDefectsMatchGolden) {
-  ExpectGolden(TinyTwoUserSystem(false, TinyDefect::kInputLeak), kGoldenTinyInputLeak);
-  ExpectGolden(TinyTwoUserSystem(false, TinyDefect::kOutputLeak), kGoldenTinyOutputLeak);
+  EXPECT_EQ(Check(TinyTwoUserSystem(false, TinyDefect::kInputLeak)), kGoldenTinyInputLeak);
+  EXPECT_EQ(Check(TinyTwoUserSystem(false, TinyDefect::kOutputLeak)), kGoldenTinyOutputLeak);
 }
 
 TEST(StorageEquivalence, NextopLeakMatchesGolden) {
-  ExpectGolden(NextopLeak(), kGoldenTinyNextopLeak);
+  EXPECT_EQ(Check(NextopLeak()), kGoldenTinyNextopLeak);
 }
 
 TEST(StorageEquivalence, UnitStepPhiBeforeDrainMatchesGolden) {
-  ExpectGolden(PendingOutputInPhi(), kGoldenTinyPendingOutput);
+  EXPECT_EQ(Check(PendingOutputInPhi()), kGoldenTinyPendingOutput);
 }
 
 TEST(StorageEquivalence, CycleConfigMatchesGolden) {
   ExhaustiveOptions options;
   options.max_states = 2048;
-  ExpectGolden(*BuildCycle(), kGoldenCycle2048, options);
+  EXPECT_EQ(Check(*BuildCycle(), options), kGoldenCycle2048);
   options.max_states = 4096;
-  ExpectGolden(*BuildCycle(), kGoldenCycle4096, options);
+  EXPECT_EQ(Check(*BuildCycle(), options), kGoldenCycle4096);
 }
 
 TEST(StorageEquivalence, DeviceUnitMatchesGolden) {
   ExhaustiveOptions options;
   options.max_states = 1024;
-  ExpectGolden(*BuildEcho(), kGoldenEcho1024, options);
+  EXPECT_EQ(Check(*BuildEcho(), options), kGoldenEcho1024);
   KernelFaults faults;
   faults.broadcast_interrupts = true;
-  ExpectGolden(*BuildEcho(faults), kGoldenEchoBroadcast1024, options);
+  EXPECT_EQ(Check(*BuildEcho(faults), options), kGoldenEchoBroadcast1024);
 }
 
 // An exact work count: the checker restores a stored state once per
-// successor it applies, the first successor reusing the restore that read
-// the state's COLOUR, NEXTOP and Φ. Unlike a rate, the count is the same on
-// every host and at every thread count, so a change that restores more
-// often per successor fails here. E16's states have one successor each, so
-// its count is one per expanded state, truncated or complete; the echo's
-// have four (the operation, two inputs and the serial line's step), and a
-// truncated run also applies the successors of its frontier states to take
-// their records.
+// successor of each state the run expanded or recorded, the first successor
+// reusing the restore that read the state's COLOUR, NEXTOP and Φ, and
+// restores nothing for a state past a cut. Unlike a rate, the count is the
+// same on every host, so a change that restores more often per successor,
+// or expands states past a cut, fails here. E16's states have one successor
+// each, so its count is one per state, truncated or complete. The echo's
+// have four (the operation, two inputs and the serial line's step): at a
+// budget of 1,024 states every admitted state is expanded or, on the
+// frontier, recorded, so 1,024 × 4; with broadcast_interrupts and a
+// violation budget of 1 the run stops after the state that found the first
+// violation and records no frontier, so the count is its transition count.
 TEST(StorageEquivalence, RestoreCountIsExact) {
   const auto cycle = BuildCycle();
-  const auto echo = BuildEcho();
-  for (int threads : {1, 2, 4, ThreadPool::HardwareThreads()}) {
-    ExhaustiveOptions options;
-    options.threads = threads;
-    options.max_states = 2048;
-    EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).restore_count, 2048u)
-        << "threads=" << threads;
-    options.max_states = 4096;
-    EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).restore_count, 2054u)
-        << "threads=" << threads;
-    options.max_states = 1024;
-    EXPECT_EQ(CheckSeparabilityExhaustive(*echo, options).restore_count, 4308u)
-        << "threads=" << threads;
-  }
-}
-
-TEST(StorageEquivalence, SchedulePerturbationKeepsReportsByteIdentical) {
-  // Thread counts change which worker expands which state and in what
-  // order; steal_seed has no effect but is still swept, so a dependence on
-  // it would show. None of it may reach the report: every rendering equals
-  // the serial golden byte for byte.
-  auto good = BuildHalting();
-  KernelFaults faults;
-  faults.skip_register_restore = true;
-  auto leaky = BuildHalting(faults);
-
-  int hw = ThreadPool::HardwareThreads();
-  if (hw < 2) {
-    hw = 4;  // oversubscribe on 1-core hosts: workers still interleave
-  }
-  for (int threads : {1, 2, hw}) {
-    for (std::uint64_t seed : {0ull, 1ull, 0xDEADBEEFull, 0x9E3779B97F4A7C15ull}) {
-      ExhaustiveOptions options;
-      options.threads = threads;
-      options.steal_seed = seed;
-      EXPECT_EQ(Render(CheckSeparabilityExhaustive(*good, options)), kGoldenGood)
-          << "threads=" << threads << " seed=" << seed;
-      EXPECT_EQ(Render(CheckSeparabilityExhaustive(*leaky, options)), kGoldenSkipRestore)
-          << "threads=" << threads << " seed=" << seed;
-    }
-  }
-}
-
-TEST(StorageEquivalence, SchedulePerturbationOnWiderStateSpace) {
-  // Same sweep over the tiny system's 3528-state space: wide enough that
-  // parallel workers genuinely expand one slice's states concurrently, so a
-  // schedule-dependence bug cannot hide behind an 11-state chain whose
-  // one-state slices run inline.
-  for (std::uint64_t seed : {1ull, 0xC0FFEEull}) {
-    ExhaustiveOptions options;
-    options.threads = 4;
-    options.steal_seed = seed;
-    EXPECT_EQ(Render(CheckSeparabilityExhaustive(TinyTwoUserSystem(false), options)),
-              kGoldenTinySecure)
-        << "seed=" << seed;
-  }
-}
-
-TEST(StorageEquivalence, StoreDiagnosticsAreDeterministic) {
-  // The new report fields are as deterministic as the rest: thread count
-  // must not show through restore counts or the store's footprint.
-  ExhaustiveOptions serial;
-  serial.threads = 1;
-  ExhaustiveOptions parallel;
-  parallel.threads = 4;
-  auto system = BuildHalting();
-  const ExhaustiveReport a = CheckSeparabilityExhaustive(*system, serial);
-  const ExhaustiveReport b = CheckSeparabilityExhaustive(*system, parallel);
-  EXPECT_GT(a.peak_state_bytes, 0u);
-  EXPECT_GT(a.restore_count, 0u);
-  EXPECT_EQ(a.peak_state_bytes, b.peak_state_bytes);
-  EXPECT_EQ(a.restore_count, b.restore_count);
-}
-
-TEST(StorageEquivalence, StoreSizeDoesNotDependOnTheSchedule) {
-  // Ref lists and tail chunks are appended many words at a time, by the
-  // merge thread in canonical order. Repeated runs at every thread count
-  // must still build a store of the same size.
-  auto system = BuildEcho();
   ExhaustiveOptions options;
-  options.max_states = 16384;
-  const ExhaustiveReport serial = CheckSeparabilityExhaustive(*system, options);
-  for (int threads : {1, 2, 4, ThreadPool::HardwareThreads()}) {
-    options.threads = threads;
-    for (int run = 0; run < 3; ++run) {
-      const ExhaustiveReport r = CheckSeparabilityExhaustive(*system, options);
-      EXPECT_EQ(r.peak_state_bytes, serial.peak_state_bytes) << "threads=" << threads;
-      EXPECT_EQ(r.restore_count, serial.restore_count) << "threads=" << threads;
-    }
-  }
+  options.max_states = 2048;
+  EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).restore_count, 2048u);
+  options.max_states = 4096;
+  EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).restore_count, 2054u);
+  options.max_states = 1024;
+  EXPECT_EQ(CheckSeparabilityExhaustive(*BuildEcho(), options).restore_count, 4096u);
+  KernelFaults faults;
+  faults.broadcast_interrupts = true;
+  options.max_violations = 1;
+  const ExhaustiveReport refuted = CheckSeparabilityExhaustive(*BuildEcho(faults), options);
+  EXPECT_EQ(refuted.restore_count, 1468u);
+  EXPECT_EQ(refuted.transitions, 1468u);
 }
 
 // The state budget at its edges. The initial state is admitted whatever
 // the budget, so 0 reads like 1: one state, its one expanded transition,
-// and a partial run, never an empty proof. 64 and 65 straddle the 64-state
-// slice: at 65 the cut falls in the second slice. Captured from the checker
-// whose workers interned successors into a sharded store.
+// and a partial run, never an empty proof. Captured from the checker whose
+// workers interned successors into a sharded store.
 constexpr const char* kBudgetOne =
     "1 states, 1 transitions, 0 pairs, partial: "
     "C1 0/0 C2 0/1 C3 0/0 C4 0/0 C5 0/0 C6 0/0 => SEPARABLE";
@@ -509,40 +418,31 @@ TEST(StorageEquivalence, StateBudgetEdgesMatchGolden) {
   const auto cycle = BuildCycle();
   const TinyTwoUserSystem tiny(false);
   for (const Edge& edge : edges) {
-    for (int threads : {1, 4}) {
-      ExhaustiveOptions options;
-      options.max_states = edge.max_states;
-      options.threads = threads;
-      EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).Summary(), edge.cycle)
-          << "max_states=" << edge.max_states << " threads=" << threads;
-      EXPECT_EQ(CheckSeparabilityExhaustive(tiny, options).Summary(), edge.tiny)
-          << "max_states=" << edge.max_states << " threads=" << threads;
-    }
+    ExhaustiveOptions options;
+    options.max_states = edge.max_states;
+    EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).Summary(), edge.cycle)
+        << "max_states=" << edge.max_states;
+    EXPECT_EQ(CheckSeparabilityExhaustive(tiny, options).Summary(), edge.tiny)
+        << "max_states=" << edge.max_states;
   }
 }
 
 // An exact size: the store holds the admitted states alone, appended in
-// canonical order, so its footprint is the same on every run and at every
-// thread count (with libstdc++'s vector growth). A truncated run does not
-// store the successor its budget refused: E16 at 2,048 states would grow
-// its per-state tables to 4,096 entries to hold it. The checker whose
-// workers interned every successor into 64 locked shards read 1,826,816
-// bytes for both E16 runs and 1,308,928 for the tiny system.
+// BFS order, so its footprint is the same on every run (with libstdc++'s
+// vector growth). A truncated run does not store the successor its budget
+// refused: E16 at 2,048 states would grow its per-state tables to 4,096
+// entries to hold it. The checker whose workers interned every successor
+// into 64 locked shards read 1,826,816 bytes for both E16 runs and
+// 1,308,928 for the tiny system.
 TEST(StorageEquivalence, StoreSizeIsExact) {
   const auto cycle = BuildCycle();
-  const TinyTwoUserSystem tiny(false);
-  for (int threads : {1, 2, 4, ThreadPool::HardwareThreads()}) {
-    ExhaustiveOptions options;
-    options.threads = threads;
-    options.max_states = 2048;
-    EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).peak_state_bytes, 867032u)
-        << "threads=" << threads;
-    options.max_states = 4096;
-    EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).peak_state_bytes, 1432280u)
-        << "threads=" << threads;
-    EXPECT_EQ(CheckSeparabilityExhaustive(tiny, options).peak_state_bytes, 286720u)
-        << "threads=" << threads;
-  }
+  ExhaustiveOptions options;
+  options.max_states = 2048;
+  EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).peak_state_bytes, 867032u);
+  options.max_states = 4096;
+  EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).peak_state_bytes, 1432280u);
+  EXPECT_EQ(CheckSeparabilityExhaustive(TinyTwoUserSystem(false), options).peak_state_bytes,
+            286720u);
 }
 
 // --- FullState ∘ RestoreFullState = id -----------------------------------

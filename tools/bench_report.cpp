@@ -10,8 +10,8 @@
 //   bench_report --bindir build-rel --smoke --compare BENCH_3.json
 //
 // Only `guarded_metrics` participate in the comparison: dimensionless ratios
-// (cache speedup, parallel speedup) that are stable across host speeds,
-// unlike absolute instructions/second. docs/PERFORMANCE.md documents every
+// (cache speedup, store density) that are stable across host speeds, unlike
+// absolute instructions/second. docs/PERFORMANCE.md documents every
 // metric.
 #include <algorithm>
 #include <chrono>
@@ -256,9 +256,7 @@ int main(int argc, char** argv) {
   const double trace_on = Metric(m1, "BM_KernelizedStepTraceOn");
   const double kernelized_storm = Metric(m1, "BM_KernelizedStepInvalidationStorm");
   const double ex_serial = Metric(m2, "BM_ExhaustiveCheck");
-  const double ex_parallel = Metric(m2, "BM_ExhaustiveCheckParallel");
   const double ex_kernelized = Metric(m2, "BM_ExhaustiveKernelized");
-  const double ex_steal = Metric(m2, "BM_ExhaustiveKernelizedSteal");
   const double bytes_per_state = Metric(m2_bytes, "BM_ExhaustiveKernelized");
   const double chan_classic = Metric(m4, "BM_ChannelClassicWords");
   const double chan_batched = Metric(m4, "BM_ChannelBatchedWords");
@@ -288,17 +286,7 @@ int main(int argc, char** argv) {
   // work, this ratio collapses toward 1 and the guard below fires.
   metrics["trace_disabled_overhead"] = trace_off / trace_on;
   metrics["exhaustive_serial_sps"] = ex_serial;
-  metrics["exhaustive_parallel_sps"] = ex_parallel;
-  metrics["exhaustive_parallel_speedup"] = ex_parallel / ex_serial;
   metrics["exhaustive_kernelized_sps"] = ex_kernelized;
-  metrics["exhaustive_steal_sps"] = ex_steal;
-  // All hardware threads vs one thread on the full kernelized check, in
-  // wall time (the name predates the level-synchronous engine; it is kept
-  // so committed baselines line up). On a single-core host the honest value
-  // is <= 1 and the guard is skipped with a printed note (see
-  // parallel_guards below). BENCH_3..BENCH_7 baselines predate this metric
-  // and were recorded on 1-core hosts.
-  metrics["exhaustive_steal_speedup"] = ex_steal / ex_kernelized;
   // Compact-store density: full kernelized machine states per MiB of state
   // store. A pure data-layout property, independent of host speed.
   metrics["exhaustive_states_per_mib"] = (1024.0 * 1024.0) / bytes_per_state;
@@ -341,21 +329,14 @@ int main(int argc, char** argv) {
 
   // Ratios only: absolute rates swing with host speed, ratios are the
   // design-level claims (the cache pays; the state store is compact; the
-  // checker's per-state overhead is bounded; parallelism pays given cores).
-  // Parallel-speedup guards are skipped when either the baseline host or
-  // this one has a single hardware thread — on such hosts the speedup is
-  // honestly <= 1 and says nothing about the design.
+  // checker's per-state overhead is bounded).
   const std::vector<std::string> guarded = {"predecode_speedup", "superblock_speedup",
                                             "exhaustive_states_per_mib",
                                             "exhaustive_sps_per_mips",
-                                            "exhaustive_parallel_speedup",
-                                            "exhaustive_steal_speedup",
                                             "trace_disabled_overhead", "recovery_ticks_p99",
                                             "sepcheck_all_per_mips", "channel_batch_speedup",
                                             "channel_ring_speedup",
                                             "channel_xnode_batch_speedup"};
-  const std::vector<std::string> parallel_guards = {"exhaustive_parallel_speedup",
-                                                    "exhaustive_steal_speedup"};
   // Cost metrics regress UPWARD: the guard fires when the value exceeds the
   // baseline by the tolerance, not when it falls below it.
   const std::vector<std::string> lower_is_better = {"recovery_ticks_p99"};
@@ -398,27 +379,8 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.compare.empty()) {
-    // Parallel speedups compare meaningfully only between multi-threaded
-    // hosts; a baseline recorded on (or a check run on) a single hardware
-    // thread would fail them for reasons unrelated to the change under test.
-    double baseline_threads = 0;
-    if (!JsonNumber(baseline, "hardware_threads", &baseline_threads)) {
-      std::fprintf(stderr, "bench_report: baseline lacks host.hardware_threads; "
-                           "treating it as single-threaded\n");
-      baseline_threads = 1;
-    }
     int failures = 0;
     for (const std::string& name : guarded) {
-      const bool parallel_guard =
-          std::find(parallel_guards.begin(), parallel_guards.end(), name) !=
-          parallel_guards.end();
-      if (parallel_guard && (baseline_threads <= 1 || threads <= 1)) {
-        std::fprintf(stderr,
-                     "bench_report: note: skipping %s (baseline host %d thread(s), "
-                     "this host %d thread(s))\n",
-                     name.c_str(), static_cast<int>(baseline_threads), threads);
-        continue;
-      }
       double base = 0;
       if (!JsonNumber(baseline, name, &base) || base <= 0) {
         std::fprintf(stderr, "bench_report: baseline lacks %s; skipping\n", name.c_str());

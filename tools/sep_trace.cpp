@@ -16,11 +16,10 @@
 //
 // `--format metrics` prints the traced system's machine and kernel counters
 // as flat "name value" lines. `--exhaustive N` runs the exhaustive
-// separability checker (state budget N, all hardware threads) on a fresh
-// build before exporting, so the dump also carries its report as
-// `exhaustive.*` lines — states, transitions, the phase times with the merge
-// thread's share, and the per-worker expansion/restore counts that show how
-// evenly the pool spread the work (docs/PERFORMANCE.md §6).
+// separability checker (state budget N) on a fresh build before exporting,
+// so the dump also carries its report as `exhaustive.*` lines — states,
+// transitions, pairs, restores, the store's size and the phase times
+// (docs/OBSERVABILITY.md §4).
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -43,7 +42,7 @@ constexpr char kUsage[] =
     "  Runs each guest as one regime of a shared separation kernel with the\n"
     "  trace recorder on, then exports the recorded events. --exhaustive N\n"
     "  additionally runs the exhaustive checker (state budget N) so --format\n"
-    "  metrics includes the exhaustive.* exploration-balance lines.\n";
+    "  metrics includes its report as exhaustive.* lines.\n";
 
 int UsageError(const char* message, const char* value) {
   std::fprintf(stderr, "sep_trace: %s: %s\n%s", message, value, kUsage);
@@ -166,7 +165,6 @@ int main(int argc, char** argv) {
     }
     sep::ExhaustiveOptions options;
     options.max_states = exhaustive_states;
-    options.threads = 0;  // all hardware threads: exercise the pool
     const sep::ExhaustiveReport report = sep::CheckSeparabilityExhaustive(**fresh, options);
     std::fprintf(stderr, "sep_trace: exhaustive: %s\n", report.Summary().c_str());
     metrics.insert({
@@ -176,14 +174,9 @@ int main(int argc, char** argv) {
         {"exhaustive.restore_count", report.restore_count},
         {"exhaustive.peak_state_bytes", report.peak_state_bytes},
         {"exhaustive.explore_ns", report.explore_ns},
-        {"exhaustive.merge_ns", report.merge_ns},
         {"exhaustive.frontier_ns", report.frontier_ns},
         {"exhaustive.class_check_ns", report.class_check_ns},
     });
-    for (std::size_t w = 0; w < report.worker_expanded.size(); ++w) {
-      metrics[sep::Format("exhaustive.worker%zu.expanded", w)] = report.worker_expanded[w];
-      metrics[sep::Format("exhaustive.worker%zu.restores", w)] = report.worker_restores[w];
-    }
   }
 
   // --colour filters the chrome/text exports too, so one regime's full
