@@ -164,11 +164,11 @@ BENCHMARK(BM_Assembler);
 // guests are a pure SWAP ping-pong, so EVERY machine step runs the kernel
 // slow path — trap dispatch, kernel-call accounting, dispatcher, MMU
 // reprogram — which is the densest sequence of trace points the system can
-// produce. TraceOff measures the disabled-tracing tax (one relaxed load +
-// branch per site); TraceOn pays ring pushes plus a periodic drain. The
-// ratio off/on is the `trace_disabled_overhead` metric in BENCH_*.json: it
-// collapses toward 1 only if someone makes the disabled path expensive,
-// which is exactly the regression the guard exists to catch.
+// produce. TraceOff measures the disabled-tracing tax (one load + branch
+// per site); TraceOn pays buffer writes plus a periodic drain. The ratio
+// off/on is the recorded, unguarded `trace_disabled_overhead` metric in
+// BENCH_*.json; the disabled path's exact counts are pinned in
+// tests/network_alloc_test.cpp on the same ping-pong.
 std::unique_ptr<KernelizedSystem> SwapPingPong() {
   SystemBuilder builder;
   (void)builder.AddRegime("a", 256, "LOOP: TRAP 0\n      BR LOOP\n");
@@ -195,7 +195,7 @@ void BM_KernelizedStepTraceOn(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(sys->Run(4096));
     // Drain inside the timed region: a live consumer is part of the cost of
-    // tracing, and an undrained ring would degenerate into cheap drops.
+    // tracing, and an undrained buffer would degenerate into cheap drops.
     benchmark::DoNotOptimize(obs::Recorder().Drain());
   }
   obs::Recorder().Stop();

@@ -706,7 +706,8 @@ class ExhaustiveRun {
   }
 
   // Conditions with a two-state antecedent, over every Φ-equal pair: for
-  // each colour, groups in ascending Φ-word order, members in ascending id.
+  // each colour, groups in ascending Φ-word order (any order when all
+  // agree), members in ascending id.
   void CheckClasses() {
     const auto n = static_cast<std::int32_t>(store_.size());
     std::vector<std::int32_t> members(store_.size());
@@ -734,16 +735,24 @@ class ExhaustiveRun {
       for (std::int32_t id = 0; id < n; ++id) {
         members[next[class_of(id)]++] = id;
       }
-      std::sort(groups.begin(), groups.end(), [&](std::size_t x, std::size_t y) {
-        return std::ranges::lexicographical_compare(table.Get(static_cast<std::int32_t>(x)),
-                                                    table.Get(static_cast<std::int32_t>(y)));
-      });
+      const auto group_of = [&](std::size_t cls) {
+        return std::span<const std::int32_t>(members).subspan(starts[cls],
+                                                              starts[cls + 1] - starts[cls]);
+      };
+      // Group order reaches the report only through violations, and only a
+      // group that disagrees can raise one: sort only when some group does.
+      if (!std::ranges::all_of(groups,
+                               [&](std::size_t cls) { return GroupAgrees(c, group_of(cls)); })) {
+        std::sort(groups.begin(), groups.end(), [&](std::size_t x, std::size_t y) {
+          return std::ranges::lexicographical_compare(table.Get(static_cast<std::int32_t>(x)),
+                                                      table.Get(static_cast<std::int32_t>(y)));
+        });
+      }
       for (const std::size_t cls : groups) {
         if (Done()) {
           break;
         }
-        CheckGroup(c, std::span<const std::int32_t>(members).subspan(
-                          starts[cls], starts[cls + 1] - starts[cls]));
+        CheckGroup(c, group_of(cls));
       }
     }
   }

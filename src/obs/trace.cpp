@@ -3,101 +3,29 @@
 namespace sep {
 namespace obs {
 
-std::atomic<bool> g_trace_enabled{false};
-
-namespace {
-
-std::size_t RoundUpPow2(std::size_t n) {
-  std::size_t p = 2;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
-
-}  // namespace
-
-TraceRing::TraceRing(std::size_t capacity) : cells_(RoundUpPow2(capacity)) {
-  mask_ = cells_.size() - 1;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    cells_[i].seq.store(i, std::memory_order_relaxed);
-  }
-}
-
-bool TraceRing::TryPush(const TraceEvent& event) {
-  std::uint64_t pos = head_.load(std::memory_order_relaxed);
-  for (;;) {
-    Cell& cell = cells_[pos & mask_];
-    const std::uint64_t seq = cell.seq.load(std::memory_order_acquire);
-    const std::int64_t dif = static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-    if (dif == 0) {
-      if (head_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-        cell.event = event;
-        cell.seq.store(pos + 1, std::memory_order_release);
-        return true;
-      }
-      // CAS failure reloaded `pos`; retry.
-    } else if (dif < 0) {
-      return false;  // full
-    } else {
-      pos = head_.load(std::memory_order_relaxed);
-    }
-  }
-}
-
-bool TraceRing::TryPop(TraceEvent* out) {
-  std::uint64_t pos = tail_.load(std::memory_order_relaxed);
-  for (;;) {
-    Cell& cell = cells_[pos & mask_];
-    const std::uint64_t seq = cell.seq.load(std::memory_order_acquire);
-    const std::int64_t dif =
-        static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos + 1);
-    if (dif == 0) {
-      if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-        *out = cell.event;
-        cell.seq.store(pos + cells_.size(), std::memory_order_release);
-        return true;
-      }
-    } else if (dif < 0) {
-      return false;  // empty
-    } else {
-      pos = tail_.load(std::memory_order_relaxed);
-    }
-  }
-}
+bool g_trace_enabled = false;
 
 void TraceRecorder::Start(std::size_t capacity) {
-  g_trace_enabled.store(false, std::memory_order_seq_cst);
-  ring_ = std::make_shared<TraceRing>(capacity);
-  dropped_.store(0, std::memory_order_relaxed);
-  g_trace_enabled.store(true, std::memory_order_seq_cst);
+  slots_.assign(capacity, TraceEvent{});
+  size_ = 0;
+  dropped_ = 0;
+  g_trace_enabled = true;
 }
 
-void TraceRecorder::Stop() { g_trace_enabled.store(false, std::memory_order_seq_cst); }
+void TraceRecorder::Stop() { g_trace_enabled = false; }
 
 std::vector<TraceEvent> TraceRecorder::Drain() {
-  std::vector<TraceEvent> out;
-  if (ring_ == nullptr) {
-    return out;
-  }
-  TraceEvent event;
-  while (ring_->TryPop(&event)) {
-    out.push_back(event);
-  }
+  std::vector<TraceEvent> out(slots_.data(), slots_.data() + size_);
+  size_ = 0;
   return out;
 }
 
 void TraceRecorder::Emit(const TraceEvent& event) {
-  // ring_ is installed before the enabled flag flips, and instrumentation
-  // sites only reach here through Enabled(); the copy keeps the ring alive
-  // across a concurrent Start() replacing it.
-  std::shared_ptr<TraceRing> ring = ring_;
-  if (ring == nullptr) {
+  if (size_ == slots_.size()) {
+    ++dropped_;
     return;
   }
-  if (!ring->TryPush(event)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
+  slots_[size_++] = event;
 }
 
 TraceRecorder& Recorder() {

@@ -3,10 +3,10 @@
 // Rushby's separation argument is about each regime's VIEW of the shared
 // machine; this module makes a view observable. Every instrumented layer
 // (kernel, machine, exhaustive checker, distributed network) emits small
-// fixed-size events into a process-wide lock-free bounded ring buffer, and
-// every event carries the regime colour on whose behalf the work was done
-// (or kColourKernel for kernel-internal bookkeeping that is in nobody's
-// abstract view — exactly the state PerturbNonColour is free to randomize).
+// fixed-size events into one process-wide buffer, and every event carries
+// the regime colour on whose behalf the work was done (or kColourKernel for
+// kernel-internal bookkeeping that is in nobody's abstract view — exactly
+// the state PerturbNonColour is free to randomize).
 //
 // The colour tag is itself subject to the paper's security argument: the
 // per-colour canonical trace (export.h) of a regime in the shared machine
@@ -17,17 +17,16 @@
 // Cost model: tracing must never touch Machine::RunThreaded's per-
 // instruction hot path, so there are NO per-instruction trace points —
 // only slow paths (traps, interrupts, kernel calls, cache refills) carry
-// them, each guarded by a single relaxed atomic load + branch when tracing
-// is disabled. Defining SEP_OBS_DISABLED at compile time removes even that.
-// The ring itself is a Vyukov-style bounded MPMC queue: producers claim
-// cells with a CAS and never block; a full ring drops events (counted)
-// rather than stalling the machine.
+// them, each guarded by one load of a plain flag and a branch when tracing
+// is disabled. The library starts no thread, so events have one producer:
+// Start() sizes the buffer once, recording writes the next slot and never
+// allocates, and a full buffer drops the newest event (counted) rather than
+// growing inside the run it observes.
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/base/types.h"
@@ -101,82 +100,42 @@ struct TraceEvent {
   Word a1 = 0;
 };
 
-// Bounded lock-free MPMC ring (Vyukov). Producers never block: a full ring
-// rejects the event. Draining is done by one thread at a time (the
-// exporters), which is all the tooling needs.
-class TraceRing {
- public:
-  // Capacity is rounded up to a power of two; minimum 2.
-  explicit TraceRing(std::size_t capacity);
-
-  bool TryPush(const TraceEvent& event);
-  bool TryPop(TraceEvent* out);
-
-  std::size_t capacity() const { return cells_.size(); }
-
- private:
-  struct Cell {
-    std::atomic<std::uint64_t> seq;
-    TraceEvent event;
-  };
-  std::vector<Cell> cells_;
-  std::uint64_t mask_;
-  alignas(64) std::atomic<std::uint64_t> head_{0};  // producers
-  alignas(64) std::atomic<std::uint64_t> tail_{0};  // consumer
-};
-
-// The process-wide recorder: a TraceRing plus the global enabled flag the
-// instrumentation sites check. Start() installs a fresh ring and enables
-// recording; Stop() disables and leaves the ring drainable.
+// The process-wide recorder: a buffer sized at Start() plus the global
+// enabled flag the instrumentation sites check. Start() installs a fresh
+// buffer and enables recording; Stop() disables and leaves it drainable.
 class TraceRecorder {
  public:
-  // Default ring: 64Ki events (~1 MiB).
-  void Start(std::size_t capacity = 1u << 16);
+  // Allocates and fills `capacity` slots, so recording never allocates.
+  void Start(std::size_t capacity);
   void Stop();
 
-  // Drains every recorded event, oldest first. Also callable while
-  // recording (the ring is MPMC), but the exporters stop first.
+  // Returns every recorded event, oldest first, and empties the buffer, so
+  // a drain while recording makes room again.
   std::vector<TraceEvent> Drain();
 
-  // Events rejected because the ring was full since Start().
-  std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  // Events dropped because the buffer was full since Start().
+  std::uint64_t dropped() const { return dropped_; }
 
+  // Writes the next slot, or counts a drop when the buffer is full.
   void Emit(const TraceEvent& event);
 
  private:
-  std::shared_ptr<TraceRing> ring_;
-  std::atomic<std::uint64_t> dropped_{0};
-  // Guards ring_ replacement against concurrent Emit: Start/Stop happen
-  // while producers are quiescent in every current use, but keep the
-  // pointer swap well-defined regardless.
-  std::atomic<bool> draining_{false};
+  std::vector<TraceEvent> slots_;
+  std::size_t size_ = 0;  // recorded prefix of slots_
+  std::uint64_t dropped_ = 0;
 };
 
 TraceRecorder& Recorder();
 
 // The one flag every instrumentation site checks before doing anything.
-extern std::atomic<bool> g_trace_enabled;
+extern bool g_trace_enabled;
 
-inline bool Enabled() {
-#ifdef SEP_OBS_DISABLED
-  return false;
-#else
-  return g_trace_enabled.load(std::memory_order_relaxed);
-#endif
-}
+inline bool Enabled() { return g_trace_enabled; }
 
 // Convenience emitter used by all instrumentation sites. Near-zero when
-// disabled: one relaxed load and a predictable branch.
+// disabled: one load and a predictable branch.
 inline void Emit(Category category, Code code, int colour, std::uint64_t tick, Word a0 = 0,
                  Word a1 = 0) {
-#ifdef SEP_OBS_DISABLED
-  (void)category;
-  (void)code;
-  (void)colour;
-  (void)tick;
-  (void)a0;
-  (void)a1;
-#else
   if (!Enabled()) {
     return;
   }
@@ -188,7 +147,6 @@ inline void Emit(Category category, Code code, int colour, std::uint64_t tick, W
   event.a0 = a0;
   event.a1 = a1;
   Recorder().Emit(event);
-#endif
 }
 
 }  // namespace obs

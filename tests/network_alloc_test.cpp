@@ -1,11 +1,13 @@
-// Allocation guard for the network quantum.
+// Allocation guards for the network quantum and the trace recorder.
 //
 // This binary replaces the global operator new with one that counts calls,
 // so it holds only tests that count allocations. A network quantum builds
 // each node's context from ports fixed at Connect time, moves delivered
 // words without erasing them one by one, and serializes checkpoints and
 // frames into buffers it reuses, so an idle network allocates nothing and
-// a chaotic one allocates only as its streams grow.
+// a chaotic one allocates only as its streams grow. The trace recorder
+// writes into the buffer Start() sized, so tracing a kernelized run
+// allocates nothing either, and a stopped recorder records nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +17,8 @@
 #include <vector>
 
 #include "src/components/snfe_receive.h"
+#include "src/core/kernel_system.h"
+#include "src/obs/trace.h"
 
 namespace {
 
@@ -88,6 +92,40 @@ TEST(NetworkAlloc, CrashChaosSeedAllocatesLessThanOncePerTick) {
             0u);
   EXPECT_LT(static_cast<double>(allocations), static_cast<double>(net.now()))
       << allocations << " allocations in " << net.now() << " simulated ticks";
+}
+
+// Exact counts for both paths of every trace point, on bench_machine's SWAP
+// ping-pong, where every step runs the kernel's slow path. Stopped: no
+// allocation, no event, no drop, although the buffer has room, so a site
+// that skipped its Enabled() check would show. Started: no allocation and
+// four events per SWAP, one every other step (machine trap, kernel call,
+// dispatch, MMU remap), none dropped.
+TEST(TraceAlloc, SwapPingPongCountsExactly) {
+  SystemBuilder builder;
+  (void)builder.AddRegime("a", 256, "LOOP: TRAP 0\n      BR LOOP\n");
+  (void)builder.AddRegime("b", 256, "LOOP: TRAP 0\n      BR LOOP\n");
+  auto built = builder.Build();
+  ASSERT_TRUE(built.ok());
+  KernelizedSystem& sys = *built.value();
+  constexpr std::size_t kSteps = 4096;
+  ASSERT_EQ(sys.Run(kSteps), kSteps);  // warm the caches
+
+  obs::Recorder().Start(std::size_t{1} << 14);
+  obs::Recorder().Stop();
+  std::uint64_t before = Allocations();
+  ASSERT_EQ(sys.Run(kSteps), kSteps);
+  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_TRUE(obs::Recorder().Drain().empty());
+  EXPECT_EQ(obs::Recorder().dropped(), 0u);
+
+  obs::Recorder().Start(std::size_t{1} << 14);
+  before = Allocations();
+  ASSERT_EQ(sys.Run(kSteps), kSteps);
+  const std::uint64_t allocations = Allocations() - before;
+  obs::Recorder().Stop();
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(obs::Recorder().Drain().size(), 2 * kSteps);
+  EXPECT_EQ(obs::Recorder().dropped(), 0u);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Unit tests for the observability layer: trace ring, recorder lifecycle,
-// exporters.
+// Unit tests for the observability layer: the recorder's buffer and
+// lifecycle, exporters.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/obs/export.h"
@@ -24,77 +23,61 @@ obs::TraceEvent Event(std::uint64_t tick, int colour, obs::Code code, Word a0 = 
   return e;
 }
 
-TEST(TraceRing, FifoOrder) {
-  obs::TraceRing ring(8);
+void EmitTick(std::uint64_t tick) {
+  obs::Emit(obs::Category::kKernel, obs::Code::kKernelCall, 0, tick);
+}
+
+std::vector<std::uint64_t> DrainTicks() {
+  std::vector<std::uint64_t> ticks;
+  for (const obs::TraceEvent& event : obs::Recorder().Drain()) {
+    ticks.push_back(event.tick);
+  }
+  return ticks;
+}
+
+TEST(TraceRecorder, FifoOrder) {
+  obs::Recorder().Start(8);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(ring.TryPush(Event(i, 0, obs::Code::kKernelCall)));
+    EmitTick(i);
   }
-  obs::TraceEvent out;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(ring.TryPop(&out));
-    EXPECT_EQ(out.tick, i);
-  }
-  EXPECT_FALSE(ring.TryPop(&out));
+  obs::Recorder().Stop();
+  EXPECT_EQ(DrainTicks(), (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(obs::Recorder().Drain().empty());
 }
 
-TEST(TraceRing, CapacityRoundsUpToPowerOfTwo) {
-  obs::TraceRing ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-  obs::TraceRing tiny(0);
-  EXPECT_GE(tiny.capacity(), 2u);
+TEST(TraceRecorder, FullBufferDropsNewestAndCountsIt) {
+  obs::Recorder().Start(3);  // capacity is exact, a power of two or not
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EmitTick(i);
+  }
+  EmitTick(99);
+  obs::Recorder().Stop();
+  // The oldest events survive; the overflow event was dropped, not blocked on.
+  EXPECT_EQ(DrainTicks(), (std::vector<std::uint64_t>{0, 1, 2}));
+  EXPECT_EQ(obs::Recorder().dropped(), 1u);
 }
 
-TEST(TraceRing, FullRingRejectsInsteadOfBlocking) {
-  obs::TraceRing ring(4);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.TryPush(Event(static_cast<std::uint64_t>(i), 0, obs::Code::kKernelCall)));
-  }
-  EXPECT_FALSE(ring.TryPush(Event(99, 0, obs::Code::kKernelCall)));
-  obs::TraceEvent out;
-  ASSERT_TRUE(ring.TryPop(&out));
-  EXPECT_EQ(out.tick, 0u);  // oldest survives; the overflow event was dropped
-  EXPECT_TRUE(ring.TryPush(Event(100, 0, obs::Code::kKernelCall)));
-}
-
-TEST(TraceRing, ConcurrentProducersLoseNothingWhileSized) {
-  // 4 producers x 1000 events into a ring big enough for all of them; every
-  // event must come out exactly once. Run under tsan, this is also the
-  // data-race check for the Vyukov cells.
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 1000;
-  obs::TraceRing ring(kProducers * kPerProducer);
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&ring, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const std::uint64_t tag =
-            static_cast<std::uint64_t>(p) * kPerProducer + static_cast<std::uint64_t>(i);
-        while (!ring.TryPush(Event(tag, p, obs::Code::kKernelCall))) {
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  std::vector<int> seen(kProducers * kPerProducer, 0);
-  obs::TraceEvent out;
-  while (ring.TryPop(&out)) {
-    ++seen[static_cast<std::size_t>(out.tick)];
-  }
-  for (int count : seen) {
-    EXPECT_EQ(count, 1);
-  }
+TEST(TraceRecorder, DrainMakesRoomAgain) {
+  obs::Recorder().Start(2);
+  EmitTick(0);
+  EmitTick(1);
+  // A drain while recording (KernelNodeSupervisor's) frees every slot.
+  EXPECT_EQ(DrainTicks(), (std::vector<std::uint64_t>{0, 1}));
+  EmitTick(2);
+  EmitTick(3);
+  obs::Recorder().Stop();
+  EXPECT_EQ(DrainTicks(), (std::vector<std::uint64_t>{2, 3}));
+  EXPECT_EQ(obs::Recorder().dropped(), 0u);
 }
 
 TEST(TraceRecorder, DisabledEmitIsSilent) {
-  obs::TraceRecorder recorder;
-  recorder.Start(16);
-  recorder.Stop();
+  obs::Recorder().Start(16);
+  obs::Recorder().Stop();
   // Globally disabled: the convenience Emit must not reach the recorder.
   ASSERT_FALSE(obs::Enabled());
-  obs::Emit(obs::Category::kKernel, obs::Code::kKernelCall, 0, 1);
+  EmitTick(1);
   EXPECT_TRUE(obs::Recorder().Drain().empty());
+  EXPECT_EQ(obs::Recorder().dropped(), 0u);
 }
 
 TEST(TraceRecorder, StartStopDrainCycle) {
@@ -112,17 +95,16 @@ TEST(TraceRecorder, StartStopDrainCycle) {
   EXPECT_EQ(events[0].a0, 1);
   EXPECT_EQ(events[1].code, obs::Code::kMachineTrap);
 
-  // A fresh Start installs a fresh ring: nothing left over.
+  // A fresh Start installs a fresh buffer: nothing left over.
   obs::Recorder().Start(64);
   obs::Recorder().Stop();
   EXPECT_TRUE(obs::Recorder().Drain().empty());
 }
 
 TEST(TraceRecorder, CountsDrops) {
-  obs::Recorder().Start(2);  // minimum-size ring
-  for (int i = 0; i < 10; ++i) {
-    obs::Emit(obs::Category::kKernel, obs::Code::kKernelCall, 0,
-              static_cast<std::uint64_t>(i));
+  obs::Recorder().Start(2);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    EmitTick(i);
   }
   obs::Recorder().Stop();
   EXPECT_EQ(obs::Recorder().Drain().size(), 2u);

@@ -280,10 +280,11 @@ int main(int argc, char** argv) {
   metrics["kernelized_step_storm_ips"] = kernelized_storm;
   metrics["kernelized_step_trace_off_ips"] = trace_off;
   metrics["kernelized_step_trace_on_ips"] = trace_on;
-  // Kernel-call-dense stepping with tracing compiled in but DISABLED,
-  // relative to the same workload with the recorder live. The disabled path
-  // must stay a relaxed load + branch per slow-path site; if it grows real
-  // work, this ratio collapses toward 1 and the guard below fires.
+  // Kernel-call-dense stepping with the recorder stopped, relative to the
+  // same workload with it live. Recorded, not guarded: off over on moves
+  // with the enabled path (smokes of one tree read 1.2-1.8), so it never
+  // isolated the disabled path. Exact counts pin that path instead
+  // (TraceAlloc.SwapPingPongCountsExactly, tests/network_alloc_test.cpp).
   metrics["trace_disabled_overhead"] = trace_off / trace_on;
   metrics["exhaustive_serial_sps"] = ex_serial;
   metrics["exhaustive_kernelized_sps"] = ex_kernelized;
@@ -332,8 +333,7 @@ int main(int argc, char** argv) {
   // checker's per-state overhead is bounded).
   const std::vector<std::string> guarded = {"predecode_speedup", "superblock_speedup",
                                             "exhaustive_states_per_mib",
-                                            "exhaustive_sps_per_mips",
-                                            "trace_disabled_overhead", "recovery_ticks_p99",
+                                            "exhaustive_sps_per_mips", "recovery_ticks_p99",
                                             "sepcheck_all_per_mips", "channel_batch_speedup",
                                             "channel_ring_speedup",
                                             "channel_xnode_batch_speedup"};

@@ -567,7 +567,7 @@ int Main(int argc, char** argv) {
       return 2;
     }
     if (obs::Recorder().dropped() > 0) {
-      std::fprintf(stderr, "chaos_run: note: trace ring dropped %llu event(s)\n",
+      std::fprintf(stderr, "chaos_run: note: trace buffer full, %llu event(s) dropped\n",
                    static_cast<unsigned long long>(obs::Recorder().dropped()));
     }
   }

@@ -220,6 +220,6 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "sep_trace: %zu step(s), %zu event(s)%s\n", executed, events.size(),
-               sep::obs::Recorder().dropped() > 0 ? " (ring dropped some)" : "");
+               sep::obs::Recorder().dropped() > 0 ? " (trace buffer full, some dropped)" : "");
   return 0;
 }
