@@ -33,6 +33,13 @@ using RegimeId = std::uint8_t;
 
 inline constexpr RegimeId kNoRegime = 0xFF;
 
+// Words per chunk of a serialized state and per page of physical memory's
+// write tracking: the exhaustive checker stores states as chunks of this
+// size at fixed offsets, and a machine's serialization starts with its
+// memory, so memory page i is state chunk i (src/machine/memory.h,
+// src/model/shared_system.h).
+inline constexpr std::size_t kStateChunkWords = 64;
+
 }  // namespace sep
 
 #endif  // SRC_BASE_TYPES_H_

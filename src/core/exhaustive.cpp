@@ -38,17 +38,24 @@ namespace {
 //
 // No live SharedSystem is retained per explored state. Each state exists
 // only as its serialized FullState() words; the run reconstructs it on
-// demand (RestoreFullState) into one scratch instance, once per successor
-// it applies: the state's own record fields are read from the restore that
-// serves its first successor. A successor differs from its parent in a few
-// chunks, so only those are hashed and looked up, and materializing a state
-// copies only the chunks that differ from the last one (MaterializeState).
-// The state hash is a sum of position-salted per-chunk terms (ChunkTerm),
-// so a successor's hash is its parent's with the differing chunks' terms
-// swapped.
+// demand into one scratch instance, once per successor it applies: the
+// state's own record fields are read from the restore that serves its first
+// successor. A successor differs from its parent in a few chunks, so only
+// those are hashed and looked up, and materializing a state copies only the
+// chunks that differ from the last one (MaterializeState). The state hash is
+// a sum of position-salted per-chunk terms (ChunkTerm), so a successor's
+// hash is its parent's with the differing chunks' terms swapped.
+//
+// The scratch system's dirty-chunk record (SharedSystem::DirtyChunks) says
+// which chunks below its tail it wrote since its last restore. The run
+// remembers the ref list the scratch system holds, so a restore copies only
+// the chunks whose ref differs or that were written, and the tail
+// (RestoreKey); a successor's serialization updates only the written chunks
+// and the tail, and Diff compares only those. A system with no record has
+// its tail at chunk 0, so all of this is the whole state
+// (docs/PERFORMANCE.md §14).
 
-constexpr std::size_t kChunkWords = 64;
-// Chunks compared at once when a successor is diffed (Diff).
+// Chunks compared at once when a successor's tail is diffed (Diff).
 constexpr std::size_t kScanChunks = 8;
 
 // Trace payload words are 16-bit; saturate rather than wrap so a reader can
@@ -64,11 +71,11 @@ std::int64_t NanosSince(std::chrono::steady_clock::time_point start) {
 
 // Words in chunk `index` of a `len`-word state.
 std::size_t ChunkLength(std::size_t index, std::size_t len) {
-  return std::min(kChunkWords, len - index * kChunkWords);
+  return std::min(kStateChunkWords, len - index * kStateChunkWords);
 }
 
 // One stored state as the run holds it: its words, its state hash and, per
-// kChunkWords-word chunk at fixed offsets, the chunk's ref and hash.
+// kStateChunkWords-word chunk at fixed offsets, the chunk's ref and hash.
 struct Materialized {
   std::vector<Word> words;
   std::uint64_t hash = 0;
@@ -140,7 +147,7 @@ class WordInterner {
 };
 
 // Compact interned storage for serialized states. Serializations are cut
-// into kChunkWords-word chunks at fixed offsets; each distinct chunk is
+// into kStateChunkWords-word chunks at fixed offsets; each distinct chunk is
 // stored once, in a WordInterner.
 //
 // A state record is its chunk-ref list plus exact word count. Because chunk
@@ -207,7 +214,7 @@ class StateStore {
       const auto chunk = static_cast<std::int32_t>(refs[i]);
       const std::span<const Word> words = chunks_.Get(chunk);
       SEP_CHECK(words.size() == ChunkLength(i, len));
-      std::ranges::copy(words, m.words.begin() + static_cast<std::ptrdiff_t>(i * kChunkWords));
+      std::ranges::copy(words, m.words.begin() + static_cast<std::ptrdiff_t>(i * kStateChunkWords));
       m.hashes[i] = chunks_.Hash(chunk);
     }
     m.refs.assign(refs.begin(), refs.end());
@@ -273,7 +280,7 @@ class ExhaustiveRun {
     timed(report_.explore_ns, [&] {
       // The initial state is diffed against no parent, so every chunk is
       // new; the budget is at least 1, so it is always admitted.
-      Admit(*init_key, Materialized{});
+      Admit(*init_key, Materialized{}, {}, 0);
       Explore();
     });
     if (!Done()) {
@@ -294,70 +301,91 @@ class ExhaustiveRun {
     std::unique_ptr<SharedSystem> work;  // the state, then each successor
     bool work_is_key = false;            // work holds key, not yet mutated
     Materialized key;                    // the state being expanded, as stored
-    std::vector<Word> ser;               // successor serialization
+    std::vector<std::uint32_t> held;     // refs of work's chunks below its tail
+    std::vector<Word> ser;               // work's serialization, below the tail
+    std::vector<std::uint32_t> chunks;   // chunks to restore, or work wrote
     std::vector<Change> changes;         // Diff: the chunks that differ
     std::vector<std::uint32_t> refs;     // Admit's ref list
     std::vector<Word> words;             // a record field's or a Φ's words
   };
 
-  // Returns the state hash of `words`, a successor of `parent`, and puts in
-  // `changes` each chunk that differs from `parent`'s chunk at the same
-  // offset and length. Only the chunks that differ are hashed. When the
-  // lengths agree, the state hash is the parent's with the differing
-  // chunks' terms swapped (ChunkTerm); otherwise it is summed afresh, from
-  // the parent's chunk hashes where the chunks match.
+  // Returns the state hash of `words`, a successor of `parent` (empty: the
+  // initial state) that agrees with it on every chunk below `tail` but the
+  // `written` ones, and puts in `changes` each chunk that differs from
+  // `parent`'s chunk at the same offset and length. Only the written chunks
+  // and those from `tail` on are compared, and only those that differ are
+  // hashed. The state hash is the parent's with the length term and the
+  // differing chunks' terms swapped (ChunkTerm): the same sum a hash taken
+  // afresh would give.
   //
-  // A successor matches its parent almost everywhere, so the words are
-  // compared a block of kScanChunks chunks at a time, and chunk by chunk
-  // only inside a block that differs: one compare call per chunk cost more
-  // than the compare.
+  // The tail matches its parent's almost everywhere, so it is compared a
+  // block of kScanChunks chunks at a time, and chunk by chunk only inside a
+  // block that differs: one compare call per chunk cost more than the
+  // compare.
   static std::uint64_t Diff(std::span<const Word> words, const Materialized& parent,
+                            std::span<const std::uint32_t> written, std::size_t tail,
                             std::vector<Change>& changes) {
-    const bool incremental = !parent.words.empty() && words.size() == parent.words.size();
-    std::uint64_t hash = incremental ? parent.hash : LengthTerm(words.size());
+    const std::size_t len = words.size();
+    const std::size_t parent_len = parent.words.size();
+    std::uint64_t hash = parent_len == 0 ? LengthTerm(len)
+                                         : parent.hash - LengthTerm(parent_len) + LengthTerm(len);
     const auto same = [&](std::size_t begin, std::size_t end) {
       return std::memcmp(words.data() + begin, parent.words.data() + begin,
                          (end - begin) * sizeof(Word)) == 0;
     };
-    changes.clear();
-    for (std::size_t i = 0, block = 0; block < words.size(); block += kScanChunks * kChunkWords) {
-      const std::size_t block_end = std::min(block + kScanChunks * kChunkWords, words.size());
-      const bool block_same = block_end <= parent.words.size() && same(block, block_end);
-      for (std::size_t base = block; base < block_end; ++i, base += kChunkWords) {
-        const std::size_t end = std::min(base + kChunkWords, words.size());
-        // The parent's chunk i must end where this one does: same offset and length.
-        if (std::min(base + kChunkWords, parent.words.size()) == end &&
-            (block_same || same(base, end))) {
-          if (!incremental) {
-            hash += ChunkTerm(i, parent.hashes[i]);
-          }
-          continue;
-        }
-        const std::uint64_t chunk_hash = HashWords(words.data() + base, end - base);
-        changes.push_back({static_cast<std::uint32_t>(i), chunk_hash});
-        hash += ChunkTerm(i, chunk_hash);
-        if (incremental) {
-          hash -= ChunkTerm(i, parent.hashes[i]);
-        }
+    // Chunk i, known to match its parent's words when `matched`.
+    const auto visit = [&](std::size_t i, bool matched) {
+      const std::size_t base = i * kStateChunkWords;
+      const std::size_t end = std::min(base + kStateChunkWords, len);
+      // The parent's chunk i must end where this one does: same offset and length.
+      const bool in_parent = base < parent_len;
+      if (in_parent && std::min(base + kStateChunkWords, parent_len) == end &&
+          (matched || same(base, end))) {
+        return;
       }
+      const std::uint64_t chunk_hash = HashWords(words.data() + base, end - base);
+      changes.push_back({static_cast<std::uint32_t>(i), chunk_hash});
+      hash += ChunkTerm(i, chunk_hash);
+      if (in_parent) {
+        hash -= ChunkTerm(i, parent.hashes[i]);
+      }
+    };
+    changes.clear();
+    for (const std::uint32_t i : written) {
+      visit(i, false);
+    }
+    const std::size_t scan = kScanChunks * kStateChunkWords;
+    for (std::size_t block = tail * kStateChunkWords; block < len; block += scan) {
+      const std::size_t block_end = std::min(block + scan, len);
+      const bool block_same = block_end <= parent_len && same(block, block_end);
+      for (std::size_t base = block; base < block_end; base += kStateChunkWords) {
+        visit(base / kStateChunkWords, block_same);
+      }
+    }
+    // Chunks of a longer parent that the successor lacks.
+    for (std::size_t i = (len + kStateChunkWords - 1) / kStateChunkWords;
+         i < parent.hashes.size(); ++i) {
+      hash -= ChunkTerm(i, parent.hashes[i]);
     }
     return hash;
   }
 
-  // The id of `words`, a successor of `parent` (empty: the initial state),
-  // admitting it if it is new and the budget has room; -1 if the budget
-  // refuses it. Its ref list is the parent's with the refs of the chunks
-  // Diff finds changed put in. A changed chunk the store lacks belongs to
-  // no stored state, so the successor is new, and neither it nor its
-  // chunks are stored unless it is admitted.
-  std::int32_t Admit(std::span<const Word> words, const Materialized& parent) {
+  // The id of `words`, a successor of `parent` (empty: the initial state)
+  // that agrees with it below `tail` but on the `written` chunks, admitting
+  // it if it is new and the budget has room; -1 if the budget refuses it.
+  // Its ref list is the parent's with the refs of the chunks Diff finds
+  // changed put in. A changed chunk the store lacks belongs to no stored
+  // state, so the successor is new, and neither it nor its chunks are
+  // stored unless it is admitted.
+  std::int32_t Admit(std::span<const Word> words, const Materialized& parent,
+                     std::span<const std::uint32_t> written, std::size_t tail) {
     constexpr std::uint32_t kMissing = UINT32_MAX;
-    const std::uint64_t hash = Diff(words, parent, sc_.changes);
+    const std::uint64_t hash = Diff(words, parent, written, tail, sc_.changes);
     const auto words_of = [&](const Change& c) {
-      return words.subspan(c.index * kChunkWords, ChunkLength(c.index, words.size()));
+      return words.subspan(c.index * kStateChunkWords, ChunkLength(c.index, words.size()));
     };
     std::vector<std::uint32_t>& refs = sc_.refs;
-    const std::size_t chunks = (words.size() + kChunkWords - 1) / kChunkWords;
+    const std::size_t chunks = (words.size() + kStateChunkWords - 1) / kStateChunkWords;
     const auto kept = std::span(parent.refs).first(std::min(parent.refs.size(), chunks));
     refs.assign(kept.begin(), kept.end());
     refs.resize(chunks, kMissing);
@@ -452,10 +480,38 @@ class ExhaustiveRun {
 
   // --- exploration ---
 
+  // Restores sc_.key into sc_.work: below work's tail, only the chunks
+  // whose ref differs from the one work holds and the chunks work wrote
+  // since its last restore. The same chunks of sc_.ser are copied from the
+  // key, so below the tail sc_.ser stays equal to work's serialization.
   void RestoreKey() {
-    const bool ok = sc_.work->RestoreFullState(sc_.key.words);
+    std::vector<std::uint32_t>& chunks = sc_.chunks;
+    chunks.clear();
+    const std::size_t tail = sc_.work->DirtyChunks(chunks);
+    const std::size_t written = chunks.size();
+    const std::span<const std::uint32_t> refs = std::span(sc_.key.refs).first(tail);
+    if (!std::ranges::equal(sc_.held, refs)) {
+      for (std::size_t i = 0; i < tail; ++i) {
+        if (i >= sc_.held.size() || sc_.held[i] != refs[i]) {
+          chunks.push_back(static_cast<std::uint32_t>(i));
+        }
+      }
+    }
+    if (written > 0 && chunks.size() > written) {
+      const auto mid = chunks.begin() + static_cast<std::ptrdiff_t>(written);
+      std::inplace_merge(chunks.begin(), mid, chunks.end());
+      chunks.erase(std::unique(chunks.begin(), chunks.end()), chunks.end());
+    }
+    const bool ok = sc_.work->RestoreChunks(sc_.key.words, chunks);
     SEP_CHECK(ok);
     ++report_.restore_count;
+    report_.pages_restored += chunks.size();
+    sc_.ser.resize(std::max(sc_.ser.size(), tail * kStateChunkWords));
+    for (const std::uint32_t i : chunks) {
+      const auto at = static_cast<std::ptrdiff_t>(i * kStateChunkWords);
+      std::copy_n(sc_.key.words.begin() + at, kStateChunkWords, sc_.ser.begin() + at);
+    }
+    sc_.held.assign(refs.begin(), refs.end());
   }
 
   // One successor of state `from`, held in sc_.key: reconstructs it in
@@ -489,10 +545,14 @@ class ExhaustiveRun {
         CountViolation({cond, c, 0, describe(c)});
       }
     }
-    sc_.ser.clear();
-    sc_.work->AppendFullState(sc_.ser);
+    sc_.chunks.clear();
+    const std::size_t tail = sc_.work->DirtyChunks(sc_.chunks);
+    sc_.work->UpdateFullState(sc_.chunks, sc_.ser);
     // A refused successor still counts as a transition.
-    overflowed_ = Admit(sc_.ser, sc_.key) < 0;
+    overflowed_ = Admit(sc_.ser, sc_.key, sc_.chunks, tail) < 0;
+    const std::size_t chunks = (sc_.ser.size() + kStateChunkWords - 1) / kStateChunkWords;
+    report_.chunks_compared += sc_.chunks.size() + chunks - tail;
+    report_.chunks_changed += sc_.changes.size();
   }
 
   // Every successor of state `from`, in canonical order, and its record.

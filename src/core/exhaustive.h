@@ -31,12 +31,15 @@
 //
 // Requires SharedSystem::FullState() support (a canonical serialization of
 // the complete concrete state) and its inverse RestoreFullState(): the
-// checker stores only the serialized words — deduplicated 64-word chunks in
-// a flat arena — and reconstructs a live system on demand into one scratch
-// instance, so peak memory is O(serialized words), not O(live machines).
-// Each successor is stored as its parent's chunks with the ones that differ
-// put in, and only those are hashed; every equality test compares words
-// (PERFORMANCE.md §4).
+// checker stores only the serialized words — deduplicated chunks of
+// kStateChunkWords words in a flat arena — and reconstructs a live system on
+// demand into one scratch instance, so peak memory is O(serialized words),
+// not O(live machines). Each successor is stored as its parent's chunks with
+// the ones that differ put in, and only those are hashed; every equality
+// test compares words (PERFORMANCE.md §4). Where the system keeps a
+// dirty-chunk record (SharedSystem::DirtyChunks; a KernelizedSystem's is its
+// memory's dirty pages), a restore copies, and a transition serializes and
+// compares, only the chunks it wrote and the tail (PERFORMANCE.md §14).
 #ifndef SRC_CORE_EXHAUSTIVE_H_
 #define SRC_CORE_EXHAUSTIVE_H_
 
@@ -57,7 +60,7 @@ struct ExhaustiveOptions {
   int max_violations = 16;
   // Has no effect: the checker runs on one thread. Kept only because
   // perfbench's `verify` workload assigns it, and perfbench changes only
-  // with its benchmark (ROADMAP item 3, step 1); nothing else may set it.
+  // with its benchmark (ROADMAP item 5, step 1); nothing else may set it.
   int threads = 1;
   // Has no effect: exploration has no steal schedule to perturb. Kept, and
   // not to be set, for the same reason as `threads`.
@@ -83,6 +86,18 @@ struct ExhaustiveReport {
   // are read from the restore that serves its first successor), and none
   // for a state past a cut. The class check restores nothing.
   std::uint64_t restore_count = 0;
+  // The dirty-chunk record's work, in chunks of the serialized state
+  // (diagnostics, not in Summary()). pages_restored: chunks below the
+  // system's tail that restores copied, because the scratch system wrote
+  // them or held another state's chunk there (memory pages, for a
+  // KernelizedSystem; the first restore copies them all). chunks_compared
+  // and chunks_changed: chunks Diff compared over every transition, the
+  // written ones and the tail, and those it found changed. A system without
+  // the record has its tail at chunk 0: it reads 0 pages restored, and
+  // every chunk of every transition is compared.
+  std::uint64_t pages_restored = 0;
+  std::uint64_t chunks_compared = 0;
+  std::uint64_t chunks_changed = 0;
   // Always 0: the checker does not steal work. Kept only because perfbench's
   // `verify` workload reads it (core.steals), as ExhaustiveOptions::threads.
   std::uint64_t steal_count = 0;

@@ -128,6 +128,26 @@ bool KernelizedSystem::RestoreFullState(std::span<const Word> state) {
   return machine_->RestoreFull(state);
 }
 
+// The record is the machine's: memory page i is chunk i, and the tail holds
+// the memory's last page when the carve-out ends mid-page, then the MMU,
+// CPU, device and halt/wait words (Machine::TailChunk). Guest and kernel
+// stores alike go through PhysicalMemory, which flags their pages.
+std::size_t KernelizedSystem::DirtyChunks(std::vector<std::uint32_t>& out) const {
+  const std::size_t tail = machine_->TailChunk();
+  machine_->memory().AppendDirtyPages(out, tail);
+  return tail;
+}
+
+bool KernelizedSystem::RestoreChunks(std::span<const Word> state,
+                                     std::span<const std::uint32_t> chunks) {
+  return machine_->RestoreChunks(state, chunks);
+}
+
+void KernelizedSystem::UpdateFullState(std::span<const std::uint32_t> chunks,
+                                       std::vector<Word>& out) const {
+  machine_->UpdateSnapshot(chunks, out);
+}
+
 std::size_t KernelizedSystem::Run(std::size_t max_steps) { return machine_->Run(max_steps); }
 
 // --- SystemBuilder -------------------------------------------------------------

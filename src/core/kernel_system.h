@@ -47,6 +47,10 @@ class KernelizedSystem : public SharedSystem {
   std::optional<std::vector<Word>> FullState() const override;
   void AppendFullState(std::vector<Word>& out) const override;
   bool RestoreFullState(std::span<const Word> state) override;
+  std::size_t DirtyChunks(std::vector<std::uint32_t>& out) const override;
+  bool RestoreChunks(std::span<const Word> state, std::span<const std::uint32_t> chunks) override;
+  void UpdateFullState(std::span<const std::uint32_t> chunks,
+                       std::vector<Word>& out) const override;
   void AppendAbstract(int colour, std::vector<Word>& out) const override;
 
   // --- direct access for tests, benches and examples ---

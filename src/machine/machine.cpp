@@ -1416,6 +1416,23 @@ std::vector<Word> Machine::SnapshotFull() const {
 void Machine::SnapshotFullInto(std::vector<Word>& out) const {
   out.reserve(out.size() + memory_.size() + 64);
   memory_.AppendTo(out);
+  AppendAfterMemory(out);
+}
+
+void Machine::UpdateSnapshot(std::span<const std::uint32_t> pages, std::vector<Word>& out) const {
+  const std::size_t tail = TailChunk() * kStateChunkWords;
+  SEP_CHECK(out.size() >= tail);
+  for (const std::uint32_t page : pages) {
+    const std::span<const Word> words = memory_.Words(page * kStateChunkWords, kStateChunkWords);
+    std::ranges::copy(words, out.begin() + static_cast<std::ptrdiff_t>(page * kStateChunkWords));
+  }
+  out.resize(tail);
+  const std::span<const Word> last = memory_.Words(tail, memory_.size() - tail);
+  out.insert(out.end(), last.begin(), last.end());
+  AppendAfterMemory(out);
+}
+
+void Machine::AppendAfterMemory(std::vector<Word>& out) const {
   for (int mode = 0; mode < 2; ++mode) {
     for (int page = 0; page < kPagesPerMode; ++page) {
       const PageRegister& pr = mmu_.page(static_cast<CpuMode>(mode), page);
@@ -1439,13 +1456,30 @@ void Machine::SnapshotFullInto(std::vector<Word>& out) const {
   out.push_back(static_cast<Word>(waiting_));
 }
 
-bool Machine::RestoreFull(std::span<const Word> snapshot) {
+bool Machine::SnapshotFits(std::span<const Word> snapshot) const {
   const std::size_t fixed_words =
       memory_.size() + 2 * static_cast<std::size_t>(kPagesPerMode) * 5 + 8 + 1 + 2;
-  if (snapshot.size() < fixed_words + devices_.size()) {
+  return snapshot.size() >= fixed_words + devices_.size();
+}
+
+bool Machine::RestoreFull(std::span<const Word> snapshot) {
+  if (!SnapshotFits(snapshot)) {
     return false;
   }
-  memory_.RestoreWords(snapshot.subspan(0, memory_.size()));
+  memory_.RestoreWords(snapshot.first(memory_.size()));
+  return RestoreAfterMemory(snapshot);
+}
+
+bool Machine::RestoreChunks(std::span<const Word> snapshot,
+                            std::span<const std::uint32_t> pages) {
+  if (!SnapshotFits(snapshot)) {
+    return false;
+  }
+  memory_.RestorePages(snapshot.first(memory_.size()), pages, TailChunk());
+  return RestoreAfterMemory(snapshot);
+}
+
+bool Machine::RestoreAfterMemory(std::span<const Word> snapshot) {
   std::size_t pos = memory_.size();
   for (int mode = 0; mode < 2; ++mode) {
     for (int page = 0; page < kPagesPerMode; ++page) {

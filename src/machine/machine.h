@@ -262,8 +262,37 @@ class Machine {
   // is malformed or a device does not support RestoreState.
   bool RestoreFull(std::span<const Word> snapshot);
 
+  // --- dirty-page record ---
+  //
+  // SnapshotFull cut into kStateChunkWords-word chunks: chunk i below
+  // TailChunk() is memory page i, and the chunks from TailChunk() on are the
+  // tail: the memory's last page when its size is not a whole number of
+  // pages (a carve-out often ends mid-page, inside the kernel partition),
+  // then the MMU, CPU, device and halt/wait words, which change on nearly
+  // every step. A caller that keeps its own copy of a snapshot restores and
+  // refreshes only the whole pages memory's dirty record names
+  // (memory().AppendDirtyPages), and the tail.
+  std::size_t TailChunk() const { return memory_.size() / kStateChunkWords; }
+
+  // RestoreFull restoring, of memory, only the listed whole pages and the
+  // tail's: the caller vouches that every other page already holds
+  // `snapshot`'s words. Clears the dirty record.
+  bool RestoreChunks(std::span<const Word> snapshot, std::span<const std::uint32_t> pages);
+
+  // Brings `out`, a SnapshotFull that agrees with this machine on every
+  // whole page but the listed ones, up to date: copies the listed pages in
+  // and replaces everything from TailChunk() on.
+  void UpdateSnapshot(std::span<const std::uint32_t> pages, std::vector<Word>& out) const;
+
  private:
   friend class MachineBus;
+
+  // SnapshotFull past memory: the MMU, CPU, device and halt/wait words.
+  void AppendAfterMemory(std::vector<Word>& out) const;
+  // True when `snapshot` is long enough to hold this machine's state.
+  bool SnapshotFits(std::span<const Word> snapshot) const;
+  // Inverse of AppendAfterMemory on the words after memory in `snapshot`.
+  bool RestoreAfterMemory(std::span<const Word> snapshot);
 
   // One predecoded instruction: the decode plus its extension words, valid
   // while the page versions of the covered words are unchanged. `form`

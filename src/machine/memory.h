@@ -18,9 +18,17 @@
 // every page whose content they change. The machine's predecoded-instruction
 // cache and superblocks validate against those versions, and read only
 // marked words, so self-modifying code and kernel loads still invalidate
-// exactly the affected pages (see docs/PERFORMANCE.md). Versions and masks
-// are bookkeeping, not architectural state: they are excluded from equality,
-// and masks are never cleared (a stale mark only costs a re-decode).
+// exactly the affected pages (see docs/PERFORMANCE.md).
+//
+// Dirty-page record: each version page also has a dirty flag, set by every
+// store path (Write, Fill, LoadImage) and cleared by a restore (RestoreWords,
+// RestorePages). The exhaustive checker restores, serializes and compares
+// only the pages a transition wrote (docs/PERFORMANCE.md §14); a version
+// page is one chunk of the checker's serialized states (kStateChunkWords).
+//
+// Versions, masks and flags are bookkeeping, not architectural state: they
+// are excluded from equality, and masks are never cleared (a stale mark only
+// costs a re-decode).
 #ifndef SRC_MACHINE_MEMORY_H_
 #define SRC_MACHINE_MEMORY_H_
 
@@ -44,11 +52,15 @@ class PhysicalMemory {
   static constexpr int kVersionPageShift = 6;
   static constexpr std::size_t kVersionPageWords = std::size_t{1} << kVersionPageShift;
   static_assert(kVersionPageWords == 64, "one 64-bit code mask per version page");
+  static_assert(kVersionPageWords == kStateChunkWords, "a version page is a state chunk");
 
+  // The flag table is padded to whole 8-byte groups, so AppendDirtyPages
+  // can skip eight clean pages with one load.
   explicit PhysicalMemory(std::size_t words)
       : words_(words, 0),
         versions_(words / kVersionPageWords + 1, 1),
-        code_masks_(words / kVersionPageWords + 1, 0) {}
+        code_masks_(words / kVersionPageWords + 1, 0),
+        dirty_((words / kVersionPageWords + 1 + 7) / 8 * 8, 0) {}
 
   std::size_t size() const { return words_.size(); }
 
@@ -61,6 +73,7 @@ class PhysicalMemory {
     SEP_DCHECK(addr < words_.size());
     words_[addr] = value;
     const std::size_t page = addr >> kVersionPageShift;
+    dirty_[page] = 1;
     if (((code_masks_[page] >> (addr & (kVersionPageWords - 1))) & 1) != 0) {
       ++versions_[page];
     }
@@ -90,11 +103,11 @@ class PhysicalMemory {
 
   // Overwrites the whole memory from a flat image, copying — and bumping the
   // version of — only the 64-word version pages whose content actually
-  // changes. Restoring a state the machine is already in is therefore
-  // version-neutral, and predecoded code whose bytes are unchanged stays
-  // valid. A restored image mostly matches the current content, so it is
-  // scanned in 256-word blocks and diffed page by page only inside a block
-  // that differs: one compare per page costs the checker's restores more.
+  // changes, and clears every dirty flag. Restoring a state the machine is
+  // already in is therefore version-neutral, and predecoded code whose bytes
+  // are unchanged stays valid. A restored image mostly matches the current
+  // content, so it is scanned in 256-word blocks and diffed page by page
+  // only inside a block that differs.
   void RestoreWords(std::span<const Word> image) {
     SEP_CHECK(image.size() == size());
     constexpr std::size_t kScanWords = 4 * kVersionPageWords;
@@ -105,12 +118,43 @@ class PhysicalMemory {
         continue;
       }
       for (std::size_t base = block; base < end; base += kVersionPageWords) {
-        const std::size_t count = std::min(kVersionPageWords, end - base);
-        Word* cur = words_.data() + base;
-        const Word* src = image.data() + base;
-        if (std::memcmp(cur, src, count * sizeof(Word)) != 0) {
-          std::memcpy(cur, src, count * sizeof(Word));
-          ++versions_[base >> kVersionPageShift];
+        RestorePage(image, base >> kVersionPageShift);
+      }
+    }
+    ClearDirty();
+  }
+
+  // RestoreWords for the listed pages and every page from `from` on only,
+  // each copied and version-bumped when its content differs; clears every
+  // dirty flag. The caller vouches that every other page already holds the
+  // image's words (it wrote none of them since it restored this image).
+  void RestorePages(std::span<const Word> image, std::span<const std::uint32_t> pages,
+                    std::size_t from) {
+    SEP_CHECK(image.size() == size());
+    for (const std::uint32_t page : pages) {
+      RestorePage(image, page);
+    }
+    for (std::size_t page = from; page * kVersionPageWords < size(); ++page) {
+      RestorePage(image, page);
+    }
+    ClearDirty();
+  }
+
+  // --- dirty-page record ---
+
+  // Appends, ascending, every page below `end` that a store path wrote
+  // since the last restore.
+  void AppendDirtyPages(std::vector<std::uint32_t>& out, std::size_t end) const {
+    SEP_DCHECK(end <= versions_.size());
+    for (std::size_t group = 0; group < end; group += 8) {
+      std::uint64_t flags = 0;
+      std::memcpy(&flags, dirty_.data() + group, sizeof flags);
+      if (flags == 0) {
+        continue;
+      }
+      for (std::size_t page = group; page < std::min(group + 8, end); ++page) {
+        if (dirty_[page] != 0) {
+          out.push_back(static_cast<std::uint32_t>(page));
         }
       }
     }
@@ -173,12 +217,32 @@ class PhysicalMemory {
     const std::size_t last = (base + count - 1) >> kVersionPageShift;
     for (std::size_t page = first; page <= last; ++page) {
       ++versions_[page];
+      dirty_[page] = 1;
     }
   }
+
+  // Copies one page from a whole-memory image when its content differs,
+  // bumping its version; a page past the end holds no word.
+  void RestorePage(std::span<const Word> image, std::size_t page) {
+    const std::size_t base = page * kVersionPageWords;
+    if (base >= size()) {
+      return;
+    }
+    const std::size_t count = std::min(kVersionPageWords, size() - base);
+    Word* cur = words_.data() + base;
+    const Word* src = image.data() + base;
+    if (std::memcmp(cur, src, count * sizeof(Word)) != 0) {
+      std::memcpy(cur, src, count * sizeof(Word));
+      ++versions_[page];
+    }
+  }
+
+  void ClearDirty() { std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0}); }
 
   std::vector<Word> words_;
   std::vector<std::uint64_t> versions_;
   std::vector<std::uint64_t> code_masks_;  // bit i of page p: word p*64+i was decoded
+  std::vector<std::uint8_t> dirty_;        // page p written since the last restore
 };
 
 }  // namespace sep

@@ -28,6 +28,13 @@
 //     3)-5) of the Appendix constrain it).
 //   * INPUT/OUTPUT are per-unit word streams; EXTRACT(c, ·) is the
 //     restriction to units of colour c.
+//
+// For the exhaustive checker (src/core/exhaustive.h) a system serializes its
+// complete state (FullState), restores it (RestoreFullState) and may keep a
+// dirty-chunk record: which kStateChunkWords-word chunks of its
+// serialization it wrote since its last restore. The record's defaults
+// report every chunk dirty, so a system that keeps none (the toy systems, a
+// forwarding wrapper) is restored and serialized whole.
 #ifndef SRC_MODEL_SHARED_SYSTEM_H_
 #define SRC_MODEL_SHARED_SYSTEM_H_
 
@@ -137,6 +144,41 @@ class SharedSystem {
   virtual bool RestoreFullState(std::span<const Word> state) {
     (void)state;
     return false;
+  }
+
+  // --- dirty-chunk record ---
+  //
+  // FullState() is cut into kStateChunkWords-word chunks at fixed offsets.
+  // Chunks below the tail chunk can be recorded; every chunk from the tail
+  // chunk on counts as dirty always. The defaults put the tail at chunk 0,
+  // so every chunk is dirty and the two calls after DirtyChunks are
+  // RestoreFullState and AppendFullState.
+
+  // Appends to `out`, ascending, each chunk below the tail chunk that this
+  // system wrote since its last restore (RestoreFullState or RestoreChunks),
+  // and returns the tail chunk. Before its first restore a system may list
+  // any chunks; the checker's first restore copies every chunk.
+  virtual std::size_t DirtyChunks(std::vector<std::uint32_t>& out) const {
+    (void)out;
+    return 0;
+  }
+
+  // RestoreFullState(state) restoring, below the tail chunk, only the listed
+  // chunks (ascending): the caller vouches that every other chunk already
+  // holds `state`'s words. Starts a new record.
+  virtual bool RestoreChunks(std::span<const Word> state, std::span<const std::uint32_t> chunks) {
+    (void)chunks;
+    return RestoreFullState(state);
+  }
+
+  // Brings `out`, a FullState() that agrees with this system on every chunk
+  // below the tail chunk but the listed ones, up to date: copies the listed
+  // chunks in and replaces everything from the tail chunk on.
+  virtual void UpdateFullState(std::span<const std::uint32_t> chunks,
+                               std::vector<Word>& out) const {
+    (void)chunks;
+    out.clear();
+    AppendFullState(out);
   }
 
   // Φ^colour(s) appended to `out` as raw words, without the AbstractState

@@ -189,5 +189,44 @@ TEST(CliValidation, SepTraceRejectsBadArguments) {
   EXPECT_EQ(RunTool(Tool("sep_trace") + " --exhaustive -5 guest.s"), 2);
 }
 
+// A trace the recorder's buffer (262,144 events) cut short is a failure:
+// each tool writes what it recorded, prints the dropped count on stderr and
+// exits with its own code, so two canonical traces can never agree only
+// because both stop at the cut (E17). The same runs, short enough to fit,
+// exit as they always did.
+TEST(CliValidation, CutTraceIsAFailure) {
+  const std::string dir = testing::TempDir();
+  const std::string ping = dir + "/cut_ping.s";
+  std::ofstream(ping) << "LOOP: TRAP 0\n      BR LOOP\n";
+  const std::string err = dir + "/cut_stderr.txt";
+  // Runs `cmd` with its stderr kept in `err`; returns the exit code.
+  const auto run = [&](const std::string& cmd) {
+    const int status = std::system((cmd + " >/dev/null 2>" + err).c_str());
+    return status == -1 || !WIFEXITED(status) ? -1 : WEXITSTATUS(status);
+  };
+  const auto dropped_line = [&](const char* tool) {
+    const std::string text = Slurp(err);
+    return text.find(std::string(tool) + ": trace buffer full, ") != std::string::npos &&
+           text.find(" event(s) dropped") != std::string::npos;
+  };
+
+  const std::string trace = Tool("sep_trace") + " --format canonical --colour 0 ";
+  EXPECT_EQ(run(trace + "--steps 300000 " + ping + " " + ping), 1);
+  EXPECT_TRUE(dropped_line("sep_trace")) << Slurp(err);
+  EXPECT_EQ(run(trace + "--steps 2000 " + ping + " " + ping), 0);
+  EXPECT_FALSE(dropped_line("sep_trace")) << Slurp(err);
+
+  const std::string json = dir + "/cut_trace.json";
+  const std::string regime = Tool("sm11run") + " --regime --trace " + json + " ";
+  EXPECT_EQ(run(regime + "--steps 600000 " + ping + " </dev/null"), 4);
+  EXPECT_TRUE(dropped_line("sm11run")) << Slurp(err);
+  EXPECT_EQ(run(regime + "--steps 2000 " + ping + " </dev/null"), 3);  // budget exhausted
+
+  const std::string chaos = Tool("chaos_run") + " --trace " + json + " ";
+  EXPECT_EQ(run(chaos + "128"), 3);
+  EXPECT_TRUE(dropped_line("chaos_run")) << Slurp(err);
+  EXPECT_EQ(run(chaos + "16"), 0);
+}
+
 }  // namespace
 }  // namespace sep

@@ -200,6 +200,170 @@ LOOP:   INC R0
   EXPECT_EQ(clone->memory().Read(0x300), 8u);
 }
 
+// --- the dirty-page record -------------------------------------------------
+
+// The dirty pages of `mem`, ascending.
+std::vector<std::uint32_t> DirtyPages(const PhysicalMemory& mem) {
+  std::vector<std::uint32_t> pages;
+  mem.AppendDirtyPages(pages, mem.size() / PhysicalMemory::kVersionPageWords + 1);
+  return pages;
+}
+
+using Pages = std::vector<std::uint32_t>;
+
+TEST(DirtyPages, EachStorePathFlagsExactlyItsPages) {
+  constexpr PhysAddr kPage = PhysicalMemory::kVersionPageWords;
+  PhysicalMemory mem(kWords);
+  EXPECT_EQ(DirtyPages(mem), Pages{});
+
+  // A store flags its own page, whether or not it lands on a decoded word;
+  // storing the value a word already holds still counts as a write.
+  mem.Write(3 * kPage + 7, 0);
+  EXPECT_EQ(DirtyPages(mem), Pages{3});
+  mem.MarkCode(9 * kPage, 1);
+  mem.Write(9 * kPage, 1);
+  EXPECT_EQ(DirtyPages(mem), (Pages{3, 9}));
+
+  // Fill and LoadImage flag every page they cover, a partial page at either
+  // end included, and nothing beside them.
+  mem.RestoreWords(std::vector<Word>(kWords, 0));
+  mem.Fill(kPage - 1, kPage + 2, 5);  // the last word of page 0 to the first of page 2
+  EXPECT_EQ(DirtyPages(mem), (Pages{0, 1, 2}));
+  mem.RestoreWords(std::vector<Word>(kWords, 0));
+  mem.LoadImage(40 * kPage + 60, std::vector<Word>(8, 1));
+  EXPECT_EQ(DirtyPages(mem), (Pages{40, 41}));
+  mem.Fill(50 * kPage, 0, 1);  // an empty fill writes nothing
+  EXPECT_EQ(DirtyPages(mem), (Pages{40, 41}));
+
+  // The flags past the first eight pages are found too (the scan skips
+  // eight clean pages at a time), and `end` bounds the scan.
+  mem.Write(kWords - 1, 2);
+  EXPECT_EQ(DirtyPages(mem), (Pages{40, 41, 63}));
+  Pages below;
+  mem.AppendDirtyPages(below, 41);
+  EXPECT_EQ(below, Pages{40});
+
+  // A copy carries its record (Machine::Clone copies memory).
+  const PhysicalMemory copy = mem;
+  EXPECT_EQ(DirtyPages(copy), (Pages{40, 41, 63}));
+}
+
+TEST(DirtyPages, RestoresClearTheRecord) {
+  constexpr PhysAddr kPage = PhysicalMemory::kVersionPageWords;
+  PhysicalMemory mem(kWords);
+  mem.Write(2 * kPage, 1);
+  std::vector<Word> image;
+  mem.AppendTo(image);
+
+  mem.Write(5 * kPage, 1);
+  mem.RestoreWords(image);
+  EXPECT_EQ(DirtyPages(mem), Pages{});
+  EXPECT_EQ(mem.Read(5 * kPage), 0u);
+
+  mem.Write(5 * kPage, 1);
+  mem.Write(7 * kPage, 1);
+  const Pages written = DirtyPages(mem);
+  mem.RestorePages(image, written, kWords / kPage);
+  EXPECT_EQ(DirtyPages(mem), Pages{});
+  EXPECT_TRUE(mem == [&] {
+    PhysicalMemory expected(kWords);
+    expected.RestoreWords(image);
+    return expected;
+  }());
+}
+
+TEST(DirtyPages, RestoringAnUnchangedPageKeepsItsVersion) {
+  // A page a transition wrote without changing it (a store of the value it
+  // held) is restored by comparison: its version stays, so predecoded code
+  // on it stays valid. A page whose content differs is copied and bumped.
+  constexpr PhysAddr kPage = PhysicalMemory::kVersionPageWords;
+  PhysicalMemory mem(kWords);
+  mem.MarkCode(4 * kPage, 2);
+  mem.Write(4 * kPage, 012700);
+  mem.Write(6 * kPage, 3);
+  std::vector<Word> image;
+  mem.AppendTo(image);
+
+  mem.Write(4 * kPage, 012700);  // decoded word, same value: a write, no change
+  mem.Write(6 * kPage, 4);        // a real change
+  const std::uint64_t v_code = mem.PageVersion(4 * kPage);
+  const std::uint64_t v_data = mem.PageVersion(6 * kPage);
+  ASSERT_EQ(DirtyPages(mem), (Pages{4, 6}));
+  mem.RestorePages(image, DirtyPages(mem), kWords / kPage);
+  EXPECT_EQ(mem.PageVersion(4 * kPage), v_code);
+  EXPECT_EQ(mem.PageVersion(6 * kPage), v_data + 1);
+  EXPECT_EQ(mem.Read(6 * kPage), 3u);
+}
+
+TEST(DirtyPages, RestorePagesTakesEveryPageFromItsStart) {
+  // A carve-out that ends mid-page: RestorePages copies the listed pages
+  // and every page from `from` on, here the last, partial page, whether or
+  // not it was written; a page neither listed nor past `from` is the
+  // caller's to vouch for and is left as it is.
+  PhysicalMemory mem(1000);  // 15 whole pages and 40 words
+  std::vector<Word> image(1000, 0);
+  image[999] = 7;
+  image[100] = 9;  // page 1, neither listed nor written
+  mem.RestorePages(image, {}, 1000 / PhysicalMemory::kVersionPageWords);
+  EXPECT_EQ(mem.Read(999), 7u);
+  EXPECT_EQ(mem.Read(100), 0u);
+  mem.RestorePages(image, Pages{1}, 1000 / PhysicalMemory::kVersionPageWords);
+  EXPECT_EQ(mem.Read(100), 9u);
+}
+
+// A kernelized machine's record names exactly the pages guest and kernel
+// stores wrote: after a restore, the pages of a run of operations (a guest
+// store, and the kernel's save area on every SWAP), and restoring or
+// updating only those chunks and the tail gives the full path's words.
+TEST(DirtyPages, KernelizedRecordRestoresAndSerializesAsTheFullPath) {
+  for (const bool carve_out : {false, true}) {
+    SystemBuilder builder;
+    if (!carve_out) {
+      builder.WithMemoryWords(4096);
+    }
+    ASSERT_TRUE(builder.AddRegime("a", 200, "LOOP: INC CNT\n TRAP 0\n BR LOOP\nCNT: .WORD 0\n").ok());
+    ASSERT_TRUE(builder.AddRegime("b", 200, "LOOP: INC R3\n TRAP 0\n BR LOOP\n").ok());
+    Result<std::unique_ptr<KernelizedSystem>> built = builder.Build();
+    ASSERT_TRUE(built.ok()) << built.error();
+    KernelizedSystem& system = **built;
+    const std::size_t words = system.machine().memory().size();
+    EXPECT_EQ(words % kStateChunkWords != 0, carve_out) << words;
+
+    std::vector<Word> boot;
+    system.AppendFullState(boot);
+    ASSERT_TRUE(system.RestoreFullState(boot));
+    Pages none;
+    EXPECT_EQ(system.DirtyChunks(none), words / kStateChunkWords);
+    EXPECT_EQ(none, Pages{});
+
+    std::vector<Word> ser = boot;
+    for (int op = 0; op < 12; ++op) {
+      system.ExecuteOperation();
+      Pages written;
+      const std::size_t tail = system.DirtyChunks(written);
+      for (const std::uint32_t chunk : written) {
+        EXPECT_LT(chunk, tail);
+      }
+      system.UpdateFullState(written, ser);
+      std::vector<Word> whole;
+      system.AppendFullState(whole);
+      ASSERT_EQ(ser, whole) << "operation " << op;
+    }
+    Pages written;
+    system.DirtyChunks(written);
+    EXPECT_FALSE(written.empty()) << "a SWAP writes the kernel's save area";
+
+    // Back to boot through the record: the written chunks and the tail.
+    ASSERT_TRUE(system.RestoreChunks(boot, written));
+    std::vector<Word> back;
+    system.AppendFullState(back);
+    EXPECT_EQ(back, boot);
+    Pages after;
+    system.DirtyChunks(after);
+    EXPECT_EQ(after, Pages{});
+  }
+}
+
 constexpr char kHalt[] = "HALT\n";
 
 TEST(BuilderMemory, SizedToTheCarveOut) {

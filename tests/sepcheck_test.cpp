@@ -19,6 +19,7 @@
 #include "src/sepcheck/guest_corpus.h"
 #include "src/sepcheck/probe.h"
 #include "src/sm11asm/assembler.h"
+#include "tests/full_path_system.h"
 
 namespace sep::sepcheck {
 namespace {
@@ -612,8 +613,17 @@ TEST(Catalog, ExhaustiveCheckerDecidesEveryEntry) {
     ASSERT_TRUE(system.ok()) << entry.name << ": " << system.error();
     ExhaustiveOptions options;
     options.max_states = 4096;
-    EXPECT_EQ(CheckSeparabilityExhaustive(**system, options).Summary(), kDecided[i].summary)
-        << entry.name;
+    const ExhaustiveReport own = CheckSeparabilityExhaustive(**system, options);
+    EXPECT_EQ(own.Summary(), kDecided[i].summary) << entry.name;
+    // The dirty-page record's oracle: the full path decides it alike, down
+    // to each violation's text.
+    const ExhaustiveReport full =
+        CheckSeparabilityExhaustive(FullPathSystem((*system)->Clone()), options);
+    EXPECT_EQ(full.Summary(), own.Summary()) << entry.name << " (full path)";
+    ASSERT_EQ(full.violations.size(), own.violations.size()) << entry.name;
+    for (std::size_t v = 0; v < own.violations.size(); ++v) {
+      EXPECT_EQ(full.violations[v].description, own.violations[v].description) << entry.name;
+    }
   }
 }
 

@@ -8,6 +8,11 @@
 // checker that hashed every chunk of every successor. Every counter,
 // per-condition stat, violation order and Summary() byte is pinned.
 //
+// Every golden is also the dirty-page record's oracle: each system is
+// checked a second time behind FullPathSystem, which keeps no record, so
+// the checker restores, serializes and compares whole states, and both
+// reports must render the same bytes.
+//
 // Also here: FullState ∘ RestoreFullState round-trip properties, since the
 // equivalence above is exactly as trustworthy as that inverse.
 #include <gtest/gtest.h>
@@ -20,6 +25,7 @@
 #include "src/core/kernel_system.h"
 #include "src/machine/devices.h"
 #include "src/model/toy_systems.h"
+#include "tests/full_path_system.h"
 #include "tests/kernelized_lockstep.h"
 
 namespace sep {
@@ -70,8 +76,29 @@ std::string Render(const ExhaustiveReport& r) {
   return out;
 }
 
+// `system` checked as it is and behind FullPathSystem: the two reports.
+struct BothPaths {
+  ExhaustiveReport own;
+  ExhaustiveReport full;
+};
+
+BothPaths CheckBoth(const SharedSystem& system, const ExhaustiveOptions& options = {}) {
+  return {CheckSeparabilityExhaustive(system, options),
+          CheckSeparabilityExhaustive(FullPathSystem(system.Clone()), options)};
+}
+
+// The report of `system`, once the report the full path takes is held to
+// it: both must render the same bytes, restore as often and store as much.
+ExhaustiveReport CheckOwn(const SharedSystem& system, const ExhaustiveOptions& options = {}) {
+  BothPaths both = CheckBoth(system, options);
+  EXPECT_EQ(Render(both.full), Render(both.own)) << "the full path renders another report";
+  EXPECT_EQ(both.full.restore_count, both.own.restore_count);
+  EXPECT_EQ(both.full.peak_state_bytes, both.own.peak_state_bytes);
+  return std::move(both.own);
+}
+
 std::string Check(const SharedSystem& system, const ExhaustiveOptions& options = {}) {
-  return Render(CheckSeparabilityExhaustive(system, options));
+  return Render(CheckOwn(system, options));
 }
 
 // Two counting loops whose product automaton is a long cycle: the E16
@@ -365,21 +392,41 @@ TEST(StorageEquivalence, DeviceUnitMatchesGolden) {
 // frontier, recorded, so 1,024 × 4; with broadcast_interrupts and a
 // violation budget of 1 the run stops after the state that found the first
 // violation and records no frontier, so the count is its transition count.
+//
+// The dirty-page record's work is pinned the same way, on perfbench's
+// `verify` configuration (E16, 4,096 words, budget 32,768): its first
+// restore copies all 64 memory pages, and after it the restores copy and
+// the transitions compare only the pages a transition wrote (about one in
+// four) beside the two tail chunks. The full path copies and compares every
+// chunk and must find the same chunks changed.
 TEST(StorageEquivalence, RestoreCountIsExact) {
   const auto cycle = BuildCycle();
   ExhaustiveOptions options;
   options.max_states = 2048;
-  EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).restore_count, 2048u);
+  EXPECT_EQ(CheckOwn(*cycle, options).restore_count, 2048u);
   options.max_states = 4096;
-  EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).restore_count, 2054u);
+  EXPECT_EQ(CheckOwn(*cycle, options).restore_count, 2054u);
   options.max_states = 1024;
-  EXPECT_EQ(CheckSeparabilityExhaustive(*BuildEcho(), options).restore_count, 4096u);
+  EXPECT_EQ(CheckOwn(*BuildEcho(), options).restore_count, 4096u);
   KernelFaults faults;
   faults.broadcast_interrupts = true;
   options.max_violations = 1;
-  const ExhaustiveReport refuted = CheckSeparabilityExhaustive(*BuildEcho(faults), options);
+  const ExhaustiveReport refuted = CheckOwn(*BuildEcho(faults), options);
   EXPECT_EQ(refuted.restore_count, 1468u);
   EXPECT_EQ(refuted.transitions, 1468u);
+
+  ExhaustiveOptions verify;
+  verify.max_states = 32768;
+  const BothPaths e16 = CheckBoth(*cycle, verify);
+  EXPECT_EQ(Render(e16.full), Render(e16.own));
+  EXPECT_EQ(e16.own.restore_count, 2054u);
+  EXPECT_EQ(e16.own.pages_restored, 64u + 513u);  // the first restore, then 2,053 more
+  EXPECT_EQ(e16.own.chunks_compared, 514u + 2u * 2054u);
+  EXPECT_EQ(e16.own.chunks_changed, 3082u);  // 1.50 per transition
+  EXPECT_EQ(e16.full.restore_count, 2054u);
+  EXPECT_EQ(e16.full.pages_restored, 0u);
+  EXPECT_EQ(e16.full.chunks_compared, 66u * 2054u);
+  EXPECT_EQ(e16.full.chunks_changed, 3082u);
 }
 
 // The state budget at its edges. The initial state is admitted whatever
@@ -420,9 +467,9 @@ TEST(StorageEquivalence, StateBudgetEdgesMatchGolden) {
   for (const Edge& edge : edges) {
     ExhaustiveOptions options;
     options.max_states = edge.max_states;
-    EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).Summary(), edge.cycle)
+    EXPECT_EQ(CheckOwn(*cycle, options).Summary(), edge.cycle)
         << "max_states=" << edge.max_states;
-    EXPECT_EQ(CheckSeparabilityExhaustive(tiny, options).Summary(), edge.tiny)
+    EXPECT_EQ(CheckOwn(tiny, options).Summary(), edge.tiny)
         << "max_states=" << edge.max_states;
   }
 }
@@ -438,11 +485,10 @@ TEST(StorageEquivalence, StoreSizeIsExact) {
   const auto cycle = BuildCycle();
   ExhaustiveOptions options;
   options.max_states = 2048;
-  EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).peak_state_bytes, 867032u);
+  EXPECT_EQ(CheckOwn(*cycle, options).peak_state_bytes, 867032u);
   options.max_states = 4096;
-  EXPECT_EQ(CheckSeparabilityExhaustive(*cycle, options).peak_state_bytes, 1432280u);
-  EXPECT_EQ(CheckSeparabilityExhaustive(TinyTwoUserSystem(false), options).peak_state_bytes,
-            286720u);
+  EXPECT_EQ(CheckOwn(*cycle, options).peak_state_bytes, 1432280u);
+  EXPECT_EQ(CheckOwn(TinyTwoUserSystem(false), options).peak_state_bytes, 286720u);
 }
 
 // --- FullState ∘ RestoreFullState = id -----------------------------------

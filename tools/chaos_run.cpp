@@ -12,7 +12,9 @@
 // it (with bounded retries the line is declared dead rather than wedged).
 //
 // --trace FILE turns the recorder on and writes a Chrome trace-event JSON of
-// the run's network events (retransmits, timeouts, injected faults);
+// the run's network events (retransmits, timeouts, injected faults); a trace
+// the recorder's buffer cut short is written as recorded, its dropped count
+// printed, and the run exits 3;
 // --metrics FILE writes the `net.*` totals over every rate, read off each
 // round's tunnel sender and wire links, as flat "name value" lines.
 //
@@ -566,13 +568,14 @@ int Main(int argc, char** argv) {
     if (!WriteFile(trace_path, obs::ChromeTraceJson(obs::Recorder().Drain()))) {
       return 2;
     }
-    if (obs::Recorder().dropped() > 0) {
-      std::fprintf(stderr, "chaos_run: note: trace buffer full, %llu event(s) dropped\n",
-                   static_cast<unsigned long long>(obs::Recorder().dropped()));
-    }
   }
   if (!metrics_path.empty() && !WriteFile(metrics_path, obs::MetricsText(metrics))) {
     return 2;
+  }
+  if (obs::Recorder().dropped() > 0) {
+    std::fprintf(stderr, "chaos_run: trace buffer full, %llu event(s) dropped\n",
+                 static_cast<unsigned long long>(obs::Recorder().dropped()));
+    return 3;
   }
   return monotone ? 0 : 1;
 }

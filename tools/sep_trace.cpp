@@ -18,8 +18,13 @@
 // as flat "name value" lines. `--exhaustive N` runs the exhaustive
 // separability checker (state budget N) on a fresh build before exporting,
 // so the dump also carries its report as `exhaustive.*` lines — states,
-// transitions, pairs, restores, the store's size and the phase times
+// transitions, pairs, restores, the chunks its restores copied and its
+// transitions compared and changed, the store's size and the phase times
 // (docs/OBSERVABILITY.md §4).
+//
+// A trace the recorder's buffer cut short is a failure: when it dropped any
+// event, sep_trace still writes what it recorded, prints the dropped count
+// on stderr and exits 1.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -172,6 +177,9 @@ int main(int argc, char** argv) {
         {"exhaustive.transitions", report.transitions},
         {"exhaustive.pairs_checked", report.pairs_checked},
         {"exhaustive.restore_count", report.restore_count},
+        {"exhaustive.pages_restored", report.pages_restored},
+        {"exhaustive.chunks_compared", report.chunks_compared},
+        {"exhaustive.chunks_changed", report.chunks_changed},
         {"exhaustive.peak_state_bytes", report.peak_state_bytes},
         {"exhaustive.explore_ns", report.explore_ns},
         {"exhaustive.frontier_ns", report.frontier_ns},
@@ -219,7 +227,11 @@ int main(int argc, char** argv) {
     std::fclose(f);
   }
 
-  std::fprintf(stderr, "sep_trace: %zu step(s), %zu event(s)%s\n", executed, events.size(),
-               sep::obs::Recorder().dropped() > 0 ? " (trace buffer full, some dropped)" : "");
+  std::fprintf(stderr, "sep_trace: %zu step(s), %zu event(s)\n", executed, events.size());
+  if (sep::obs::Recorder().dropped() > 0) {
+    std::fprintf(stderr, "sep_trace: trace buffer full, %llu event(s) dropped\n",
+                 static_cast<unsigned long long>(sep::obs::Recorder().dropped()));
+    return 1;
+  }
   return 0;
 }

@@ -14,6 +14,10 @@
 // The program's serial line (if it uses one) is the process's stdin/stdout:
 // input bytes are injected into the device before the run; transmitted
 // words are printed as characters afterwards.
+//
+// Exit status: 0 halted, 3 step budget exhausted, 1 a program that does not
+// load, 2 a usage error, and 4 a --trace the recorder's buffer cut short
+// (the trace is written as recorded and the dropped count printed).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -279,6 +283,11 @@ int main(int argc, char** argv) {
   if (!options.metrics_path.empty()) {
     const int wrc = WriteFileOrDie(options.metrics_path, sep::obs::MetricsText(metrics));
     if (wrc != 0) return wrc;
+  }
+  if (sep::obs::Recorder().dropped() > 0) {
+    std::fprintf(stderr, "sm11run: trace buffer full, %llu event(s) dropped\n",
+                 static_cast<unsigned long long>(sep::obs::Recorder().dropped()));
+    return 4;
   }
   return rc;
 }
